@@ -21,19 +21,13 @@ from .fields import (
     RfProjection,
     deconv_view,
     erf_bottom_up,
-    layer_increment,
     pf_size_set,
     rf_top_down,
 )
 from .oracle import (
-    Axis,
     EquivalenceReport,
-    ErfMeasurement,
-    InfluenceSet,
     PfCountField,
-    backward_influence,
     check_equivalence,
-    erf_oracle,
     pf_counts_oracle,
     random_network,
 )
@@ -62,13 +56,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "Axis",
     "Direction",
     "EquivalenceReport",
-    "ErfMeasurement",
     "ErfTrace",
     "FieldOverflowError",
-    "InfluenceSet",
     "InvalidNetworkError",
     "LayerKind",
     "LayerRangeError",
@@ -83,13 +74,10 @@ __all__ = [
     "PfSizeSet",
     "RfProjection",
     "ValidationReport",
-    "backward_influence",
     "build_analysis",
     "check_equivalence",
     "deconv_view",
     "erf_bottom_up",
-    "erf_oracle",
-    "layer_increment",
     "load_network",
     "parse_dsl",
     "parse_manifest",

@@ -8,8 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 AXIS_NAMES = ("height", "width")
+
+# One axis of a chain: (filters, strides), entry j - 1 belonging to layer j.
+Chain1d = tuple[list[int], list[int]]
 
 
 class LayerKind(Enum):
@@ -97,25 +101,27 @@ def validate(network: NetworkSpec) -> ValidationReport:
             errors.append(
                 (layer.index, f"layer indices must run 1..n without gaps (expected {position})")
             )
-        for axis, axis_name in enumerate(AXIS_NAMES):
-            if layer.filter[axis] < 1:
-                errors.append(
-                    (layer.index, f"{axis_name} filter must be >= 1 (got {layer.filter[axis]})")
-                )
-            if layer.stride[axis] < 1:
-                errors.append(
-                    (layer.index, f"{axis_name} stride must be >= 1 (got {layer.stride[axis]})")
+        for axis_name, f, s in zip(AXIS_NAMES, layer.filter, layer.stride):
+            if f < 1:
+                errors.append((layer.index, f"{axis_name} filter must be >= 1 (got {f})"))
+            if s < 1:
+                errors.append((layer.index, f"{axis_name} stride must be >= 1 (got {s})"))
+            elif f >= 1 and s > f:
+                warnings.append(
+                    (layer.index, f"stride exceeds filter on {axis_name} axis: coverage gaps")
                 )
         if layer.channels_out is not None and layer.channels_out < 1:
             errors.append(
                 (layer.index, f"channels_out must be >= 1 (got {layer.channels_out})")
             )
-        for axis, axis_name in enumerate(AXIS_NAMES):
-            if layer.filter[axis] >= 1 and layer.stride[axis] > layer.filter[axis]:
-                warnings.append(
-                    (layer.index, f"stride exceeds filter on {axis_name} axis: coverage gaps")
-                )
     return ValidationReport(tuple(errors), tuple(warnings))
+
+
+def axis_chains(layers: Sequence[LayerSpec]) -> tuple[Chain1d, Chain1d]:
+    """The layers as two 1-D chains, height then width: every field is separable."""
+    height = ([layer.filter[0] for layer in layers], [layer.stride[0] for layer in layers])
+    width = ([layer.filter[1] for layer in layers], [layer.stride[1] for layer in layers])
+    return height, width
 
 
 def require_valid(network: NetworkSpec) -> None:

@@ -23,6 +23,9 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_OVERFLOW = 3
 
+# Widest footprint bar drawn; wider extents print as numbers.
+MAX_BAR_WIDTH = 1000
+
 
 def _fail(message: str) -> None:
     print(f"fieldscope: {message}", file=sys.stderr)
@@ -92,6 +95,18 @@ def cmd_footprint(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _bar_width(text: str) -> int:
+    try:
+        width = int(text)
+    except ValueError:
+        width = 0
+    if not 1 <= width <= MAX_BAR_WIDTH:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in 1..{MAX_BAR_WIDTH}, got {text[:20]!r}"
+        )
+    return width
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fieldscope",
@@ -130,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     footprint.add_argument("file")
     footprint.add_argument("--layer", type=int, required=True, metavar="K")
-    footprint.add_argument("--max-width", type=int, default=120, metavar="W")
+    footprint.add_argument("--max-width", type=_bar_width, default=120, metavar="W")
     footprint.set_defaults(func=cmd_footprint)
     return parser
 

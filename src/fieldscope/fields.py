@@ -9,13 +9,17 @@ Three quantities, all separable per axis and all in integer pixels:
   each lower layer, unrolled one layer at a time down to the input.
 * projective field (PF): how many next-layer neurons one output feeds; a
   floor/ceil set of the next layer's filter-to-stride ratio.
+
+Each is computed by a private 1-D function over one axis's (filters,
+strides) int lists; the public 2-D functions run it on the height axis,
+then the width axis, and zip the two results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .arch import Direction, NetworkSpec, LayerRangeError, require_valid
+from .arch import Direction, NetworkSpec, LayerRangeError, axis_chains, require_valid
 
 Pair = tuple[int, int]
 
@@ -62,75 +66,57 @@ class RfProjection:
 class PfSizeSet:
     """Distinct (height, width) projective field sizes across one boundary."""
 
-    boundary_layer: int
     sizes: frozenset[Pair]
     uniform: bool
 
 
-def _cumulative_stride(network: NetworkSpec, k: int, axis: int) -> int:
-    """Product of the strides of layers below k; 1 for k = 1."""
-    product = 1
-    for layer in network.layers[: k - 1]:
-        product *= layer.stride[axis]
-        if product > MAX_FIELD_VALUE:
-            raise FieldOverflowError(
-                f"cumulative stride below layer {k} exceeds {MAX_FIELD_VALUE}"
-            )
-    return product
-
-
-def _check_layer_index(network: NetworkSpec, k: int, lowest: int = 0) -> None:
-    if not lowest <= k <= len(network.layers):
-        raise LayerRangeError(
-            f"layer index {k} out of range {lowest}..{len(network.layers)}"
-        )
-
-
-def layer_increment(network: NetworkSpec, k: int) -> Pair:
-    """Pixels layer k adds to the ERF: (f_k - 1) scaled by the lower strides."""
-    require_valid(network)
-    _check_layer_index(network, k, lowest=1)
-    layer = network.layers[k - 1]
-    added = tuple(
-        (layer.filter[axis] - 1) * _cumulative_stride(network, k, axis) for axis in (0, 1)
-    )
-    if max(added) > MAX_FIELD_VALUE:
-        raise FieldOverflowError(f"increment exceeds {MAX_FIELD_VALUE} at layer {k}")
-    return (added[0], added[1])
-
-
-def _erf_axis(network: NetworkSpec, axis: int) -> tuple[list[int], list[int], list[int]]:
+def _erf_1d(filters: list[int], strides: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """Bottom-up ERF along one axis: values (n+1), increments, cumulative strides."""
     values = [1]
     increments = []
     cumulative = []
     jump = 1
-    for layer in network.layers:
+    last = len(filters)
+    for index, (f, s) in enumerate(zip(filters, strides), start=1):
         cumulative.append(jump)
-        grown = values[-1] + (layer.filter[axis] - 1) * jump
+        added = (f - 1) * jump
+        grown = values[-1] + added
         if grown > MAX_FIELD_VALUE:
-            raise FieldOverflowError(
-                f"ERF exceeds {MAX_FIELD_VALUE} at layer {layer.index}"
-            )
-        increments.append(grown - values[-1])
+            raise FieldOverflowError(f"ERF exceeds {MAX_FIELD_VALUE} at layer {index}")
+        increments.append(added)
         values.append(grown)
-        jump *= layer.stride[axis]
-        if jump > MAX_FIELD_VALUE and layer.index < len(network.layers):
+        jump *= s
+        if jump > MAX_FIELD_VALUE and index < last:
             raise FieldOverflowError(
-                f"cumulative stride exceeds {MAX_FIELD_VALUE} above layer {layer.index}"
+                f"cumulative stride exceeds {MAX_FIELD_VALUE} above layer {index}"
             )
     return values, increments, cumulative
+
+
+def _top_down_1d(filters: list[int], strides: list[int]) -> list[int]:
+    """Widen one top-layer unit down to the input along one axis: r -> (r - 1) * s + f."""
+    values = [1]
+    for j in range(len(filters) - 1, -1, -1):
+        widened = (values[-1] - 1) * strides[j] + filters[j]
+        if widened > MAX_FIELD_VALUE:
+            raise FieldOverflowError(f"projection exceeds {MAX_FIELD_VALUE} at layer {j + 1}")
+        values.append(widened)
+    return values
+
+
+def _pf_1d(f: int, s: int) -> set[int]:
+    """Next-layer windows one output falls in along one axis: floor and ceil of f/s."""
+    return {f // s, -(-f // s)}
 
 
 def erf_bottom_up(network: NetworkSpec) -> ErfTrace:
     """Compute the ERF of every layer in a single forward sweep."""
     require_valid(network)
-    h_values, h_inc, h_cum = _erf_axis(network, 0)
-    w_values, w_inc, w_cum = _erf_axis(network, 1)
-    return ErfTrace(
-        values=tuple(zip(h_values, w_values)),
-        increments=tuple(zip(h_inc, w_inc)),
-        cumulative_strides=tuple(zip(h_cum, w_cum)),
+    height, width = axis_chains(network.layers)
+    values, increments, cumulative = (
+        tuple(zip(h, w)) for h, w in zip(_erf_1d(*height), _erf_1d(*width))
     )
+    return ErfTrace(values=values, increments=increments, cumulative_strides=cumulative)
 
 
 def rf_top_down(network: NetworkSpec, k: int) -> RfProjection:
@@ -141,20 +127,11 @@ def rf_top_down(network: NetworkSpec, k: int) -> RfProjection:
     intermediate values are receptive fields onto intermediate layers.
     """
     require_valid(network)
-    _check_layer_index(network, k)
-    per_axis: list[list[int]] = []
-    for axis in (0, 1):
-        values = [1]
-        for j in range(k - 1, -1, -1):
-            crossing = network.layers[j]
-            widened = (values[-1] - 1) * crossing.stride[axis] + crossing.filter[axis]
-            if widened > MAX_FIELD_VALUE:
-                raise FieldOverflowError(
-                    f"projection exceeds {MAX_FIELD_VALUE} at layer {crossing.index}"
-                )
-            values.append(widened)
-        per_axis.append(values)
-    return RfProjection(target_layer=k, values=tuple(zip(per_axis[0], per_axis[1])))
+    if not 0 <= k <= len(network.layers):
+        raise LayerRangeError(f"layer index {k} out of range 0..{len(network.layers)}")
+    height, width = axis_chains(network.layers[:k])
+    values = zip(_top_down_1d(*height), _top_down_1d(*width))
+    return RfProjection(target_layer=k, values=tuple(values))
 
 
 def pf_size_set(network: NetworkSpec, k: int) -> PfSizeSet:
@@ -173,11 +150,10 @@ def pf_size_set(network: NetworkSpec, k: int) -> PfSizeSet:
             f"layer index {k} out of range 0..{len(network.layers) - 1}"
         )
     nxt = network.layers[k]
-    heights = {nxt.filter[0] // nxt.stride[0], -(-nxt.filter[0] // nxt.stride[0])}
-    widths = {nxt.filter[1] // nxt.stride[1], -(-nxt.filter[1] // nxt.stride[1])}
+    heights = _pf_1d(nxt.filter[0], nxt.stride[0])
+    widths = _pf_1d(nxt.filter[1], nxt.stride[1])
     sizes = frozenset((h, w) for h in heights for w in widths)
-    uniform = nxt.filter[0] % nxt.stride[0] == 0 and nxt.filter[1] % nxt.stride[1] == 0
-    return PfSizeSet(boundary_layer=k, sizes=sizes, uniform=uniform)
+    return PfSizeSet(sizes=sizes, uniform=len(sizes) == 1)
 
 
 def deconv_view(network: NetworkSpec) -> NetworkSpec:

@@ -15,141 +15,87 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import IntEnum
-from typing import NamedTuple
 
 from . import fields
-from .arch import Direction, LayerKind, LayerRangeError, LayerSpec, NetworkSpec, require_valid
+from .arch import Direction, LayerKind, LayerSpec, NetworkSpec, axis_chains, require_valid
 from .fields import Pair
-
-
-class Axis(IntEnum):
-    H = 0
-    W = 1
-
-
-@dataclass(frozen=True)
-class InfluenceSet:
-    """Input-grid positions wired (directly or transitively) to one neuron."""
-
-    layer: int
-    positions: tuple[int, ...]
-
-    @property
-    def span(self) -> int:
-        return self.positions[-1] - self.positions[0] + 1
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.positions)
 
 
 @dataclass(frozen=True)
 class PfCountField:
     """Window-coverage counts over one stride period of interior positions.
 
-    counts_h[x] is the number of next-layer windows covering interior offset
-    x (0 <= x < stride) along the height axis; counts_w likewise. A 2D
-    position inherits the pair of its axis counts.
+    counts_h maps each coverage count to the number of interior offsets x
+    (0 <= x < stride) along the height axis that exactly that many next-layer
+    windows cover; counts_w likewise. A 2D position inherits the pair of its
+    axis counts.
     """
 
     filter: Pair
     stride: Pair
-    counts_h: tuple[int, ...]
-    counts_w: tuple[int, ...]
-    boundary_layer: int | None = None
+    counts_h: dict[int, int]
+    counts_w: dict[int, int]
 
     @property
     def size_pairs(self) -> frozenset[Pair]:
         """Distinct (height, width) PF sizes observed while sliding."""
-        return frozenset((h, w) for h in set(self.counts_h) for w in set(self.counts_w))
+        return frozenset((h, w) for h in self.counts_h for w in self.counts_w)
 
 
-class ErfMeasurement(NamedTuple):
-    span: Pair
-    cardinality: Pair
-
-
-def backward_influence(network: NetworkSpec, k: int, axis: Axis) -> InfluenceSet:
-    """Expand one layer-k neuron window-by-window down to the input grid.
-
-    Starting from position 0 at layer k, each layer-j position p becomes the
-    layer j-1 positions p*s_j .. p*s_j + f_j - 1; unions of those windows are
-    taken all the way down. Pure connectivity, no arithmetic shortcuts.
-    """
-    require_valid(network)
-    if not 0 <= k <= len(network.layers):
-        raise LayerRangeError(f"layer index {k} out of range 0..{len(network.layers)}")
-    positions = {0}
-    for j in range(k, 0, -1):
-        layer = network.layers[j - 1]
-        f, s = layer.filter[axis], layer.stride[axis]
-        positions = {p * s + t for p in positions for t in range(f)}
-    return InfluenceSet(layer=0, positions=tuple(sorted(positions)))
-
-
-def erf_oracle(network: NetworkSpec, k: int) -> ErfMeasurement:
-    """Measure the layer-k influence set per axis: extent and element count.
-
-    Span always matches the closed-form ERF. Cardinality can be smaller when
-    some stride exceeds its filter, because the windows then leave gaps.
-    """
-    by_axis = [backward_influence(network, k, axis) for axis in (Axis.H, Axis.W)]
-    return ErfMeasurement(
-        span=(by_axis[0].span, by_axis[1].span),
-        cardinality=(by_axis[0].cardinality, by_axis[1].cardinality),
-    )
-
-
-def _influence_sweep(network: NetworkSpec, axis: Axis) -> list[tuple[int, int]]:
-    """(span, cardinality) of the layer-k influence set for every k, one pass.
+def _influence_1d(filters: list[int], strides: list[int]) -> list[tuple[int, int]]:
+    """(span, cardinality) of the layer-k influence set for every k, one axis.
 
     Influence sets are translation covariant: position p at layer j maps to
     p * jump_j + (set for position 0), where jump_j is the product of the
     strides up to layer j. So one bottom-up sweep of window unions yields
     the position-0 set for every layer without re-expanding from scratch.
-    Agreement with backward_influence is property-tested.
+    The test suite checks it against a naive per-position expansion.
     """
     measures = [(1, 1)]
     base = {0}
     jump = 1
-    for layer in network.layers:
-        f, s = layer.filter[axis], layer.stride[axis]
+    for f, s in zip(filters, strides):
         base = {t * jump + q for t in range(f) for q in base}
         measures.append((max(base) - min(base) + 1, len(base)))
         jump *= s
     return measures
 
 
-def pf_counts_oracle(
-    filter: Pair, stride: Pair, boundary_layer: int | None = None
-) -> PfCountField:
-    """Slide next-layer windows along each axis and count coverage.
+def _coverage_1d(f: int, s: int) -> dict[int, int]:
+    """Coverage count -> number of offsets with it over one stride period, one axis.
 
     Positions are scanned over one stride period deep inside the grid, far
     enough from the origin that every window which could cover a scanned
     position exists. Counts repeat with period s, so one period tells all.
+    Only covered offsets are tallied, at most f of them, so the cost grows
+    with the filter and not with the stride; the rest of the period has 0.
     """
-    per_axis = []
-    for axis in (0, 1):
-        f, s = filter[axis], stride[axis]
-        if f < 1 or s < 1:
-            raise ValueError(f"filter and stride must be >= 1, got f={f} s={s}")
-        start = f  # offsets start..start+s-1 are interior
-        counts = [0] * s
-        last = start + s - 1
-        for p in range(last // s + 1):
-            for t in range(f):
-                x = p * s + t
-                if start <= x <= last:
-                    counts[x - start] += 1
-        per_axis.append(tuple(counts))
+    if f < 1 or s < 1:
+        raise ValueError(f"filter and stride must be >= 1, got f={f} s={s}")
+    start = f  # offsets start..start+s-1 are interior
+    last = start + s - 1
+    covered: dict[int, int] = {}
+    for p in range(last // s + 1):
+        # window p reads lo..hi; tally the part inside the period
+        lo = p * s
+        hi = lo + f - 1
+        for x in range(lo if lo > start else start, (hi if hi < last else last) + 1):
+            covered[x] = covered.get(x, 0) + 1
+    counts: dict[int, int] = {}
+    for c in covered.values():
+        counts[c] = counts.get(c, 0) + 1
+    if len(covered) < s:
+        counts[0] = s - len(covered)
+    return counts
+
+
+def pf_counts_oracle(filter: Pair, stride: Pair) -> PfCountField:
+    """Slide next-layer windows along each axis and count coverage."""
     return PfCountField(
         filter=filter,
         stride=stride,
-        counts_h=per_axis[0],
-        counts_w=per_axis[1],
-        boundary_layer=boundary_layer,
+        counts_h=_coverage_1d(filter[0], stride[0]),
+        counts_w=_coverage_1d(filter[1], stride[1]),
     )
 
 
@@ -190,7 +136,6 @@ class EquivalenceReport:
     network_name: str
     erf_rows: tuple[ErfAgreementRow, ...]
     pf_rows: tuple[PfAgreementRow, ...]
-    pf_skipped: tuple[int, ...]
 
     @property
     def passed(self) -> bool:
@@ -209,48 +154,31 @@ class EquivalenceReport:
 
 
 def check_equivalence(network: NetworkSpec) -> EquivalenceReport:
-    """Compare bottom-up, top-down, and oracle answers for every layer.
-
-    PF sets are compared per boundary only where the next layer has stride
-    <= filter on both axes; gapped boundaries are listed as skipped.
-    """
+    """Compare bottom-up, top-down, and oracle answers for every layer, and
+    closed-form against counted PF sizes for every boundary."""
     require_valid(network)
     trace = fields.erf_bottom_up(network)
-    sweep_h = _influence_sweep(network, Axis.H)
-    sweep_w = _influence_sweep(network, Axis.W)
-    erf_rows = []
-    for k in range(len(network.layers) + 1):
-        projection = fields.rf_top_down(network, k)
-        erf_rows.append(
-            ErfAgreementRow(
-                layer=k,
-                bottom_up=trace.values[k],
-                top_down=projection.values[-1],
-                oracle_span=(sweep_h[k][0], sweep_w[k][0]),
-                oracle_cardinality=(sweep_h[k][1], sweep_w[k][1]),
-            )
+    height, width = axis_chains(network.layers)
+    swept = zip(_influence_1d(*height), _influence_1d(*width))
+    erf_rows = tuple(
+        ErfAgreementRow(
+            layer=k,
+            bottom_up=trace.values[k],
+            top_down=fields.rf_top_down(network, k).values[-1],
+            oracle_span=(h[0], w[0]),
+            oracle_cardinality=(h[1], w[1]),
         )
-    pf_rows = []
-    skipped = []
-    for k in range(len(network.layers)):
-        nxt = network.layers[k]
-        if nxt.stride[0] <= nxt.filter[0] and nxt.stride[1] <= nxt.filter[1]:
-            counted = pf_counts_oracle(nxt.filter, nxt.stride, boundary_layer=k)
-            pf_rows.append(
-                PfAgreementRow(
-                    boundary=k,
-                    closed_form=fields.pf_size_set(network, k).sizes,
-                    oracle=counted.size_pairs,
-                )
-            )
-        else:
-            skipped.append(k)
-    return EquivalenceReport(
-        network_name=network.name,
-        erf_rows=tuple(erf_rows),
-        pf_rows=tuple(pf_rows),
-        pf_skipped=tuple(skipped),
+        for k, (h, w) in enumerate(swept)
     )
+    pf_rows = tuple(
+        PfAgreementRow(
+            boundary=k,
+            closed_form=fields.pf_size_set(network, k).sizes,
+            oracle=pf_counts_oracle(nxt.filter, nxt.stride).size_pairs,
+        )
+        for k, nxt in enumerate(network.layers)
+    )
+    return EquivalenceReport(network_name=network.name, erf_rows=erf_rows, pf_rows=pf_rows)
 
 
 def random_network(

@@ -70,9 +70,33 @@ def _lines(text: str) -> list[str]:
     return [line.rstrip("\r") for line in text.split("\n")]
 
 
-def _pair(first: str, second: str | None) -> tuple[int, int]:
-    a = int(first)
-    return (a, int(second)) if second is not None else (a, a)
+def _int(
+    digits: str, lineno: int, column: int, what: str, diagnostics: list[ParseDiagnostic]
+) -> int | None:
+    """int(digits), or None plus a positioned diagnostic when the literal is
+    longer than the interpreter converts (sys.get_int_max_str_digits)."""
+    try:
+        return int(digits)
+    except ValueError:
+        diagnostics.append(
+            ParseDiagnostic(lineno, column, f"{what}: integer too long ({len(digits)} digits)")
+        )
+        return None
+
+
+def _pair(
+    first: str,
+    second: str | None,
+    lineno: int,
+    column: int,
+    what: str,
+    diagnostics: list[ParseDiagnostic],
+) -> tuple[int, int] | None:
+    """(h, w) from one or two digit strings, one filling both axes; None after
+    a diagnostic."""
+    h = _int(first, lineno, column, what, diagnostics)
+    w = h if second is None else _int(second, lineno, column, what, diagnostics)
+    return None if h is None or w is None else (h, w)
 
 
 def parse_dsl(text: str) -> NetworkSpec:
@@ -172,7 +196,7 @@ def _parse_dsl_layer(
             )
         )
         return None
-    channels = None
+    channel_match = None
     if len(tokens) > 3:
         channel_token, channel_col = tokens[3]
         channel_match = _CHANNELS.fullmatch(channel_token)
@@ -183,19 +207,21 @@ def _parse_dsl_layer(
                 )
             )
             return None
-        channels = int(channel_match.group(1))
     if len(tokens) > 4:
         diagnostics.append(
             ParseDiagnostic(lineno, tokens[4][1], f"unexpected token {tokens[4][0]!r}")
         )
         return None
-    return LayerSpec(
-        index=index,
-        kind=kind,
-        filter=_pair(size_match.group(1), size_match.group(2)),
-        stride=_pair(stride_match.group(1), stride_match.group(2)),
-        channels_out=channels,
-    )
+    size = _pair(*size_match.groups(), lineno, size_col, "filter", diagnostics)
+    stride = _pair(*stride_match.groups(), lineno, stride_col, "stride", diagnostics)
+    channels = None
+    if channel_match is not None:
+        channels = _int(channel_match.group(1), lineno, channel_col, "channels", diagnostics)
+        if channels is None:
+            return None
+    if size is None or stride is None:
+        return None
+    return LayerSpec(index=index, kind=kind, filter=size, stride=stride, channels_out=channels)
 
 
 _KEY_VALUE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)")
@@ -324,11 +350,10 @@ def _build_manifest_layer(
     def int_pair(key: str) -> tuple[int, int] | None:
         value, lineno, column = keys[key]
         if _INT.fullmatch(value):
-            n = int(value)
-            return (n, n)
+            return _pair(value, None, lineno, column, key, diagnostics)
         pair = _INT_LIST.fullmatch(value)
         if pair:
-            return (int(pair.group(1)), int(pair.group(2)))
+            return _pair(*pair.groups(), lineno, column, key, diagnostics)
         diagnostics.append(
             ParseDiagnostic(
                 lineno, column, f"{key!r} must be an integer or a two-integer list, got {value!r}"
@@ -342,7 +367,9 @@ def _build_manifest_layer(
     if "channels_out" in keys:
         value, lineno, column = keys["channels_out"]
         if _INT.fullmatch(value):
-            channels = int(value)
+            channels = _int(value, lineno, column, "channels_out", diagnostics)
+            if channels is None:
+                return None
         else:
             diagnostics.append(
                 ParseDiagnostic(lineno, column, f"'channels_out' must be an integer, got {value!r}")
@@ -378,7 +405,18 @@ def _scalar_or_pair(value: tuple[int, int]) -> str:
 def load_network(path: str | Path) -> NetworkSpec:
     """Read an architecture file, dispatching on extension (.toml = manifest)."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError([_undecodable(exc.object, exc.start)]) from None
     if path.suffix == ".toml":
         return parse_manifest(text)
     return parse_dsl(text)
+
+
+def _undecodable(data: bytes, start: int) -> ParseDiagnostic:
+    """Point at data[start], the first byte that is not valid UTF-8."""
+    line_start = data.rfind(b"\n", 0, start) + 1
+    column = len(data[line_start:start].decode("utf-8", "replace")) + 1
+    message = f"not valid UTF-8 (byte 0x{data[start]:02x})"
+    return ParseDiagnostic(data.count(b"\n", 0, start) + 1, column, message)

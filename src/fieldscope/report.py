@@ -183,8 +183,6 @@ def render_equivalence(report: oracle.EquivalenceReport) -> str:
             for row in report.pf_rows
         ]
         lines += _table(["pf-boundary", "closed-form", "oracle", "match"], pf_rows)
-    for k in report.pf_skipped:
-        lines.append(f"note: pf comparison skipped at boundary {k} (stride exceeds filter)")
     lines.append("")
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
     return "\n".join(lines) + "\n"

@@ -14,13 +14,13 @@ import random
 import time
 
 from conftest import CHAIN11_ERF, CHAIN11_TOPDOWN, DATA, insert_layer, make_network
+from reference import span_and_cardinality
 
 import fieldscope.cli as cli
 from fieldscope import (
     check_equivalence,
     deconv_view,
     erf_bottom_up,
-    erf_oracle,
     parse_dsl,
     pf_counts_oracle,
     pf_size_set,
@@ -81,8 +81,8 @@ def test_criterion_3_methods_agree_on_1000_seeded_chains():
 def test_criterion_4_oracle_agrees_on_1000_seeded_chains():
     started = time.perf_counter()
 
-    # the same generator stream as criterion 3; spans must match everywhere,
-    # projection sets wherever the next layer leaves no coverage gaps
+    # the same generator stream as criterion 3; spans and projection sets
+    # must match everywhere, gapped boundaries included
     compared_pf = 0
     for network in seeded_chains():
         trace = erf_bottom_up(network)
@@ -91,25 +91,26 @@ def test_criterion_4_oracle_agrees_on_1000_seeded_chains():
             for layer in network.layers
             for a in (0, 1)
         )
-        for k in range(len(network.layers) + 1):
-            measured = erf_oracle(network, k)
-            assert measured.span == trace.values[k]
+        for row in check_equivalence(network).erf_rows:
+            assert row.oracle_span == trace.values[row.layer]
             if covered:
-                assert measured.cardinality == measured.span
+                assert row.oracle_cardinality == row.oracle_span
+            # the sweep against the naive per-position expansion
+            naive = [span_and_cardinality(network, row.layer, axis) for axis in (0, 1)]
+            assert row.oracle_span == (naive[0][0], naive[1][0])
+            assert row.oracle_cardinality == (naive[0][1], naive[1][1])
         for k, nxt in enumerate(network.layers):
-            if nxt.stride[0] <= nxt.filter[0] and nxt.stride[1] <= nxt.filter[1]:
-                counted = pf_counts_oracle(nxt.filter, nxt.stride)
-                assert counted.size_pairs == pf_size_set(network, k).sizes
-                compared_pf += 1
+            counted = pf_counts_oracle(nxt.filter, nxt.stride)
+            assert counted.size_pairs == pf_size_set(network, k).sizes
+            compared_pf += 1
     assert compared_pf > 1000
 
     # and a stream drawn under the restriction itself, checked in full
     for network in seeded_chains(covered_only=True):
         trace = erf_bottom_up(network)
-        for k in range(len(network.layers) + 1):
-            measured = erf_oracle(network, k)
-            assert measured.span == trace.values[k]
-            assert measured.cardinality == measured.span
+        for row in check_equivalence(network).erf_rows:
+            assert row.oracle_span == trace.values[row.layer]
+            assert row.oracle_cardinality == row.oracle_span
         for k, nxt in enumerate(network.layers):
             counted = pf_counts_oracle(nxt.filter, nxt.stride)
             assert counted.size_pairs == pf_size_set(network, k).sizes
@@ -195,9 +196,7 @@ def test_criterion_8_exit_codes_and_golden_bytes(tmp_path, capsys, monkeypatch):
         oracle_span=(4, 4),
         oracle_cardinality=(4, 4),
     )
-    fake = EquivalenceReport(
-        network_name="forced", erf_rows=(broken,), pf_rows=(), pf_skipped=()
-    )
+    fake = EquivalenceReport(network_name="forced", erf_rows=(broken,), pf_rows=())
     monkeypatch.setattr(cli, "check_equivalence", lambda network: fake)
     assert main(["verify", CHAIN11]) == 1
     monkeypatch.undo()

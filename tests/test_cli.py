@@ -81,6 +81,22 @@ class TestAnalyze:
         assert main(["analyze", str(tmp_path / "absent.net")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_too_long_literal_exits_2_with_position(self, tmp_path, capsys):
+        path = write_net(tmp_path, "conv 3 s1\nconv " + "9" * 5000 + " s1\n")
+        assert main(["analyze", path]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "fieldscope: error: line 2, column 6: filter: integer too long (5000 digits)\n"
+        )
+
+    @pytest.mark.parametrize("name", ["net.net", "net.toml"])
+    def test_non_utf8_file_exits_2_with_position(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes(b"# caf\xc3\xa9\n# \xff\n")
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "fieldscope: error: line 2, column 3: not valid UTF-8 (byte 0xff)\n"
+
     def test_overflow_exits_3(self, tmp_path, capsys):
         path = write_net(tmp_path, "conv 3 s4\n" * 40)
         assert main(["analyze", path]) == 3
@@ -144,9 +160,7 @@ class TestVerify:
             oracle_span=(4, 4),
             oracle_cardinality=(4, 4),
         )
-        fake = EquivalenceReport(
-            network_name="chain11", erf_rows=(broken,), pf_rows=(), pf_skipped=()
-        )
+        fake = EquivalenceReport(network_name="chain11", erf_rows=(broken,), pf_rows=())
         monkeypatch.setattr(cli, "check_equivalence", lambda network: fake)
         assert main(["verify", CHAIN11]) == 1
         out = capsys.readouterr().out
@@ -161,9 +175,7 @@ class TestVerify:
             oracle_span=(2, 2),
             oracle_cardinality=(2, 2),
         )
-        fake = EquivalenceReport(
-            network_name="trial-0", erf_rows=(broken,), pf_rows=(), pf_skipped=()
-        )
+        fake = EquivalenceReport(network_name="trial-0", erf_rows=(broken,), pf_rows=())
         monkeypatch.setattr(cli, "check_equivalence", lambda network: fake)
         assert main(["verify", "--random", "--trials", "3", "--seed", "7"]) == 1
         assert "mismatch at trial 0 (seed 7):" in capsys.readouterr().out
@@ -183,7 +195,20 @@ class TestVerify:
         assert main(["verify", path]) == 0
         out = capsys.readouterr().out
         assert "coverage gaps" in out
-        assert "skipped at boundary 0" in out
+        assert "skipped" not in out
+        # boundary 0 (stride 3 over filter 2) is compared like every other
+        assert "0            0x0, 0x1, 1x0, 1x1  0x0, 0x1, 1x0, 1x1  ok" in out
+        assert "overall: PASS" in out
+
+    def test_a_stride_at_the_64_bit_cap_is_compared_without_a_per_offset_table(
+        self, tmp_path, capsys
+    ):
+        # the PF oracle's cost follows the filter; a table with one slot per
+        # offset of this stride period would fail at once with MemoryError
+        path = write_net(tmp_path, "conv 3 s9223372036854775807\n")
+        assert main(["verify", path]) == 0
+        out = capsys.readouterr().out
+        assert "0            0x0, 0x1, 1x0, 1x1  0x0, 0x1, 1x0, 1x1  ok" in out
         assert "overall: PASS" in out
 
 
@@ -213,6 +238,15 @@ class TestFootprint:
         assert main(["footprint", CHAIN11, "--layer", "11", "--max-width", "400"]) == 0
         out = capsys.readouterr().out
         assert "|" + "#" * 400 + "|" in out
+
+    @pytest.mark.parametrize("width", ["-5", "0", str(10**12)])
+    def test_max_width_outside_1_to_1000_is_a_usage_error(self, capsys, monkeypatch, width):
+        # refused while parsing arguments, before any network is loaded or drawn
+        monkeypatch.setattr(cli, "load_network", lambda path: pytest.fail("loaded"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["footprint", CHAIN11, "--layer", "11", "--max-width", width])
+        assert excinfo.value.code == 2
+        assert "--max-width: must be an integer in 1..1000" in capsys.readouterr().err
 
     def test_anisotropic_networks_note_the_height_only_view(self, tmp_path, capsys):
         path = write_net(tmp_path, "conv 5x3 s1\n")

@@ -1,25 +1,27 @@
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import CHAIN11_ERF, CHAIN11_TOPDOWN, insert_layer, make_network
+from reference import backward_influence, span_and_cardinality
 from strategies import networks
 
 from fieldscope import (
     Direction,
     FieldOverflowError,
     LayerRangeError,
-    backward_influence,
+    NetworkSpec,
+    check_equivalence,
     deconv_view,
     erf_bottom_up,
-    erf_oracle,
-    layer_increment,
     pf_size_set,
     rf_top_down,
 )
-from fieldscope.oracle import Axis
 
 
 def heights(pairs):
@@ -27,22 +29,25 @@ def heights(pairs):
 
 
 class TestLayerIncrement:
+    """Layer k's increment is erf_bottom_up(...).increments[k - 1]."""
+
     def test_first_layer_of_fixture(self, chain11):
-        assert layer_increment(chain11, 1) == (8, 8)
+        assert erf_bottom_up(chain11).increments[0] == (8, 8)
 
     def test_unit_filter_adds_nothing(self):
         network = make_network(("pool", 2, 2), ("conv", 1, 1))
-        assert layer_increment(network, 2) == (0, 0)
+        assert erf_bottom_up(network).increments[1] == (0, 0)
 
     def test_deep_layer_scales_by_stride_product(self, chain11):
         # three stride-2 pools sit below layer 8
-        assert layer_increment(chain11, 8) == (64, 64)
+        assert erf_bottom_up(chain11).increments[7] == (64, 64)
 
     def test_out_of_range(self, chain11):
-        with pytest.raises(LayerRangeError):
-            layer_increment(chain11, 0)
-        with pytest.raises(LayerRangeError):
-            layer_increment(chain11, 12)
+        # one increment per explicit layer 1..n; the input layer adds none
+        trace = erf_bottom_up(chain11)
+        assert len(trace.increments) == len(trace.values) - 1 == 11
+        with pytest.raises(IndexError):
+            trace.increments[11]
 
 
 class TestErfBottomUp:
@@ -60,7 +65,7 @@ class TestErfBottomUp:
         network = make_network(("conv", 3, 1), ("conv", 3, 1))
         trace = erf_bottom_up(network)
         assert heights(trace.values) == [1, 3, 5]
-        assert erf_oracle(network, 2).span == (5, 5)
+        assert backward_influence(network, 2, 0) == (0, 1, 2, 3, 4)
 
     def test_trace_bookkeeping(self, chain11):
         trace = erf_bottom_up(chain11)
@@ -148,9 +153,10 @@ class TestOverflow:
             rf_top_down(runaway, 40)
 
     def test_increment_overflow_is_explicit(self):
-        runaway = make_network(*[("conv", 3, 4)] * 40)
-        with pytest.raises(FieldOverflowError):
-            layer_increment(runaway, 40)
+        # 31 unit pools keep the ERF at 1 but scale the next increment to 2 * 4**31
+        runaway = make_network(*[("pool", 1, 4)] * 31, ("conv", 3, 1))
+        with pytest.raises(FieldOverflowError, match="at layer 32"):
+            erf_bottom_up(runaway)
 
 
 @given(st.integers(1, 10**9), st.integers(1, 10**9), st.integers(1, 10**9))
@@ -193,8 +199,8 @@ def test_stride_one_chains_sum_their_filters(network):
     for axis in (0, 1):
         expected = 1 + sum(layer.filter[axis] - 1 for layer in network.layers)
         assert trace.values[-1][axis] == expected
-        influence = backward_influence(network, len(network.layers), Axis(axis))
-        assert influence.span == influence.cardinality == expected
+        span, cardinality = span_and_cardinality(network, len(network.layers), axis)
+        assert span == cardinality == expected
 
 
 @given(networks())
@@ -219,3 +225,27 @@ def test_axes_are_independent(network):
     squared_trace = erf_bottom_up(squared)
     assert heights(trace.values) == heights(squared_trace.values)
     assert [pair[1] for pair in squared_trace.values] == heights(squared_trace.values)
+
+
+def concatenate(first: NetworkSpec, second: NetworkSpec) -> NetworkSpec:
+    """first's layers, then second's on top of them, reindexed 1..n."""
+    layers = first.layers + second.layers
+    return replace(first, layers=tuple(replace(layer, index=i) for i, layer in enumerate(layers, 1)))
+
+
+@given(
+    networks(max_layers=4, max_filter=6, max_stride=3),
+    networks(max_layers=4, max_filter=6, max_stride=3),
+)
+def test_concatenation_law_holds_on_every_route(first, second):
+    # per axis, ERF(A + B) = ERF(A) + (ERF(B) - 1) * S(A), S(A) the product of A's strides
+    joined = concatenate(first, second)
+    strides = zip(*(layer.stride for layer in first.layers))
+    expected = tuple(
+        a + (b - 1) * math.prod(s)
+        for a, b, s in zip(erf_bottom_up(first).final, erf_bottom_up(second).final, strides)
+    )
+    top = len(joined.layers)
+    assert erf_bottom_up(joined).final == expected
+    assert rf_top_down(joined, top).values[-1] == expected
+    assert check_equivalence(joined).erf_rows[top].oracle_span == expected

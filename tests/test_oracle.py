@@ -1,62 +1,64 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_network
+from reference import backward_influence, span_and_cardinality
 from strategies import networks
 
 from fieldscope import (
-    backward_influence,
     check_equivalence,
     erf_bottom_up,
-    erf_oracle,
     pf_counts_oracle,
     pf_size_set,
     random_network,
 )
-from fieldscope.oracle import Axis, _influence_sweep
 
 
 class TestBackwardInfluence:
+    """The naive reference expansion, and the library sweep on the same cases."""
+
     def test_two_convs_reach_a_dense_window(self):
         network = make_network(("conv", 3, 1), ("conv", 3, 1))
-        influence = backward_influence(network, 2, Axis.H)
-        assert influence.positions == tuple(range(5))
-        assert influence.span == 5
-        assert influence.cardinality == 5
+        assert backward_influence(network, 2, 0) == tuple(range(5))
+        row = check_equivalence(network).erf_rows[2]
+        assert row.oracle_span == row.oracle_cardinality == (5, 5)
 
     def test_layer_zero_is_the_unit_anchor(self):
         network = make_network(("conv", 3, 1))
-        influence = backward_influence(network, 0, Axis.H)
-        assert influence.positions == (0,)
+        assert backward_influence(network, 0, 0) == (0,)
+        row = check_equivalence(network).erf_rows[0]
+        assert row.oracle_span == row.oracle_cardinality == (1, 1)
 
     def test_fixture_full_depth_span(self, chain11):
-        influence = backward_influence(chain11, 11, Axis.H)
-        assert influence.span == 400
-        assert influence.cardinality == 400
+        assert span_and_cardinality(chain11, 11, 0) == (400, 400)
+        row = check_equivalence(chain11).erf_rows[11]
+        assert row.oracle_span == row.oracle_cardinality == (400, 400)
 
 
 class TestErfOracle:
+    """The oracle's per-layer span and cardinality, read from check_equivalence."""
+
     def test_fixture_midpoint(self, chain11):
-        assert erf_oracle(chain11, 5).span == (60, 60)
+        assert check_equivalence(chain11).erf_rows[5].oracle_span == (60, 60)
 
     def test_unit_network(self):
-        measurement = erf_oracle(make_network(("conv", 1, 1)), 1)
-        assert measurement.span == (1, 1)
-        assert measurement.cardinality == (1, 1)
+        row = check_equivalence(make_network(("conv", 1, 1))).erf_rows[1]
+        assert row.oracle_span == (1, 1)
+        assert row.oracle_cardinality == (1, 1)
 
     def test_gapped_chain_has_fewer_cells_than_span(self):
         # stride 3 with filter 2 leaves every third input untouched
         network = make_network(("conv", 2, 3), ("conv", 2, 1))
-        influence = backward_influence(network, 2, Axis.H)
-        assert influence.positions == (0, 1, 3, 4)
-        measurement = erf_oracle(network, 2)
-        assert measurement.span == (5, 5)
-        assert measurement.cardinality == (4, 4)
+        assert backward_influence(network, 2, 0) == (0, 1, 3, 4)
+        row = check_equivalence(network).erf_rows[2]
+        assert row.oracle_span == (5, 5)
+        assert row.oracle_cardinality == (4, 4)
         assert erf_bottom_up(network).values[2] == (5, 5)
 
 
@@ -74,6 +76,14 @@ class TestPfCountsOracle:
         field = pf_counts_oracle((3, 3), (4, 4))
         assert 0 in field.counts_h
 
+    def test_a_huge_stride_costs_the_filter_not_the_stride(self):
+        # only the covered offsets are tallied; one slot per offset of this
+        # period could never be built
+        field = pf_counts_oracle((3, 3), (2**63 - 1, 1))
+        assert field.counts_h == {1: 3, 0: 2**63 - 4}
+        assert field.counts_w == {3: 1}
+        assert field.size_pairs == frozenset({(0, 3), (1, 3)})
+
     @given(st.integers(1, 12), st.integers(1, 12))
     def test_counts_agree_with_a_wide_sliding_simulation(self, f, s):
         field = pf_counts_oracle((f, f), (s, s))
@@ -87,7 +97,7 @@ class TestPfCountsOracle:
                 hits[p * s + t] += 1
         start = max(f, 2 * s)
         period = hits[start : start + s]
-        assert sorted(period) == sorted(field.counts_h)
+        assert Counter(period) == field.counts_h
         for x in range(start, start + 4 * s):
             assert hits[x] == hits[x + s]
 
@@ -100,26 +110,23 @@ class TestPfCountsOracle:
 
 @given(networks(max_layers=4, max_filter=4, max_stride=3))
 def test_sweep_matches_naive_expansion(network):
-    for axis in (Axis.H, Axis.W):
-        swept = _influence_sweep(network, axis)
-        for k in range(len(network.layers) + 1):
-            naive = backward_influence(network, k, axis)
-            assert swept[k] == (naive.span, naive.cardinality)
+    for row in check_equivalence(network).erf_rows:
+        naive = [span_and_cardinality(network, row.layer, axis) for axis in (0, 1)]
+        assert row.oracle_span == (naive[0][0], naive[1][0])
+        assert row.oracle_cardinality == (naive[0][1], naive[1][1])
 
 
 @given(networks())
 def test_influence_cardinality_never_exceeds_span(network):
-    for k in range(len(network.layers) + 1):
-        measurement = erf_oracle(network, k)
+    for row in check_equivalence(network).erf_rows:
         for axis in (0, 1):
-            assert 1 <= measurement.cardinality[axis] <= measurement.span[axis]
+            assert 1 <= row.oracle_cardinality[axis] <= row.oracle_span[axis]
 
 
 @given(networks(covered_only=True))
 def test_covered_networks_have_no_holes(network):
-    for k in range(len(network.layers) + 1):
-        measurement = erf_oracle(network, k)
-        assert measurement.cardinality == measurement.span
+    for row in check_equivalence(network).erf_rows:
+        assert row.oracle_cardinality == row.oracle_span
 
 
 class TestCheckEquivalence:
@@ -131,7 +138,6 @@ class TestCheckEquivalence:
         assert not any(row.has_coverage_gaps for row in report.erf_rows)
         assert len(report.pf_rows) == 11
         assert all(row.matches for row in report.pf_rows)
-        assert report.pf_skipped == ()
         assert report.first_mismatch() is None
 
     def test_gaps_are_reported_but_spans_still_match(self):
@@ -139,10 +145,11 @@ class TestCheckEquivalence:
         report = check_equivalence(network)
         assert report.passed
         assert report.erf_rows[2].has_coverage_gaps
-        # boundary 0 pairs stride 3 against filter 2, so counts are not
-        # a two-value floor/ceil family there and the check steps aside
-        assert report.pf_skipped == (0,)
-        assert [row.boundary for row in report.pf_rows] == [1]
+        # boundary 0 pairs stride 3 against filter 2: one offset in three is
+        # covered by no window, and the closed form's floor(2/3) = 0 says so
+        assert [row.boundary for row in report.pf_rows] == [0, 1]
+        assert report.pf_rows[0].closed_form == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert report.pf_rows[0].matches
 
 
 class TestRandomNetwork:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import DATA, make_network
@@ -177,7 +177,13 @@ def test_round_trip_identity(network):
     assert parse_dsl(serialize_dsl(network)) == network
 
 
+# a literal past int()'s digit limit (sys.get_int_max_str_digits)
+LONG_LITERAL = "9" * 5000
+
+
 @given(st.text())
+@example(f"conv {LONG_LITERAL} s1")
+@example(f"conv 3x{LONG_LITERAL} s1x{LONG_LITERAL} c{LONG_LITERAL}")
 def test_dsl_parsing_is_total(text):
     try:
         parse_dsl(text)
@@ -190,6 +196,11 @@ def test_dsl_parsing_is_total(text):
 
 
 @given(st.text())
+@example(f'[[layer]]\nkind = "conv"\nfilter = {LONG_LITERAL}\nstride = 1\n')
+@example(
+    f'[[layer]]\nkind = "conv"\nfilter = [3, {LONG_LITERAL}]\nstride = 1\n'
+    f"channels_out = {LONG_LITERAL}\n"
+)
 def test_manifest_parsing_is_total(text):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ManifestWarning)
