@@ -1,7 +1,8 @@
 """fieldscope command line interface.
 
 Exit codes: 0 success or verification pass, 1 verification mismatch,
-2 input/parse/usage error, 3 arithmetic overflow.
+2 input/parse/usage error or a network too large for the oracle,
+3 arithmetic overflow.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 from . import report
 from .arch import InvalidNetworkError, LayerRangeError, NetworkSpec, validate
 from .fields import FieldOverflowError, deconv_view, rf_top_down
-from .oracle import check_equivalence, random_network
+from .oracle import SpanBudgetError, check_equivalence, random_network
 from .parsing import ManifestWarning, ParseError, load_network
 
 EXIT_OK = 0
@@ -75,7 +76,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rng = random.Random(args.seed)
         for trial in range(args.trials):
             network = random_network(rng, name=f"trial-{trial}")
-            outcome = check_equivalence(network)
+            try:
+                outcome = check_equivalence(network)
+            except SpanBudgetError as exc:
+                _fail(f"error: trial {trial} (seed {args.seed}): {exc}")
+                return EXIT_INPUT
             if not outcome.passed:
                 print(f"mismatch at trial {trial} (seed {args.seed}):")
                 sys.stdout.write(report.render_equivalence(outcome))
@@ -175,6 +180,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FieldOverflowError as exc:
         _fail(f"error: {exc}")
         return EXIT_OVERFLOW
+    except SpanBudgetError as exc:
+        _fail(f"error: {exc}")
+        return EXIT_INPUT
     except OSError as exc:
         _fail(f"error: {exc}")
         return EXIT_INPUT

@@ -104,6 +104,25 @@ def _top_down_1d(filters: list[int], strides: list[int]) -> list[int]:
     return values
 
 
+def _erf_top_down_1d(filters: list[int], strides: list[int]) -> list[int]:
+    """Top-down ERF of every layer 0..n along one axis, in one scan.
+
+    Each top-down step r -> (r - 1) * s + f = s * r + (f - s) is affine, so
+    the steps from layer k down to the input compose to r -> a * r + b.
+    Crossing one more layer on top gives b += a * (f - s), a *= s, and the
+    ERF of layer k is that map applied to the single unit r = 1.
+    """
+    values = [1]
+    a, b = 1, 0
+    for index, (f, s) in enumerate(zip(filters, strides), start=1):
+        b += a * (f - s)
+        a *= s
+        if a + b > MAX_FIELD_VALUE:
+            raise FieldOverflowError(f"projection of layer {index} exceeds {MAX_FIELD_VALUE}")
+        values.append(a + b)
+    return values
+
+
 def _pf_1d(f: int, s: int) -> set[int]:
     """Next-layer windows one output falls in along one axis: floor and ceil of f/s."""
     return {f // s, -(-f // s)}
@@ -132,6 +151,17 @@ def rf_top_down(network: NetworkSpec, k: int) -> RfProjection:
     height, width = axis_chains(network.layers[:k])
     values = zip(_top_down_1d(*height), _top_down_1d(*width))
     return RfProjection(target_layer=k, values=tuple(values))
+
+
+def erf_top_down(network: NetworkSpec) -> tuple[Pair, ...]:
+    """Top-down ERF of every layer 0..n, from one affine prefix scan per axis.
+
+    Entry k equals rf_top_down(network, k).values[-1], without the n + 1
+    separate projections.
+    """
+    require_valid(network)
+    height, width = axis_chains(network.layers)
+    return tuple(zip(_erf_top_down_1d(*height), _erf_top_down_1d(*width)))
 
 
 def pf_size_set(network: NetworkSpec, k: int) -> PfSizeSet:

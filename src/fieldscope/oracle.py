@@ -9,6 +9,12 @@ Coordinates are window-start aligned: output position p of a layer with
 filter f and stride s reads input positions p*s .. p*s + f - 1. Any
 consistent origin convention yields the same spans; this one keeps all
 positions non-negative.
+
+An influence set is a bitset held in one Python int (bit x set when input
+position x is wired), so its cost follows the span in bits, not one Python
+object per wired position. check_equivalence refuses a network whose ERF
+exceeds SPAN_BUDGET bits on either axis before the oracle allocates
+anything, raising SpanBudgetError.
 """
 
 from __future__ import annotations
@@ -19,6 +25,13 @@ from dataclasses import dataclass
 from . import fields
 from .arch import Direction, LayerKind, LayerSpec, NetworkSpec, axis_chains, require_valid
 from .fields import Pair
+
+# Widest influence bitset the oracle builds, in bits (32 MiB per int).
+SPAN_BUDGET = 2**28
+
+
+class SpanBudgetError(ValueError):
+    """A network's influence span exceeds SPAN_BUDGET bits on some axis."""
 
 
 @dataclass(frozen=True)
@@ -49,16 +62,39 @@ def _influence_1d(filters: list[int], strides: list[int]) -> list[tuple[int, int
     p * jump_j + (set for position 0), where jump_j is the product of the
     strides up to layer j. So one bottom-up sweep of window unions yields
     the position-0 set for every layer without re-expanding from scratch.
-    The test suite checks it against a naive per-position expansion.
+    The set is a bitset int with bit 0 always set, so its span is
+    bit_length() and its cardinality bit_count(). The test suite checks it
+    against a naive per-position expansion.
     """
     measures = [(1, 1)]
-    base = {0}
+    base = 1
     jump = 1
     for f, s in zip(filters, strides):
-        base = {t * jump + q for t in range(f) for q in base}
-        measures.append((max(base) - min(base) + 1, len(base)))
+        base = _tile(base, f, jump)
+        measures.append((base.bit_length(), base.bit_count()))
         jump *= s
     return measures
+
+
+def _tile(bits: int, copies: int, step: int) -> int:
+    """OR of bits << (t * step) for t < copies, in O(log copies) shift-ORs.
+
+    block holds the first width copies and doubles itself each round; at
+    every set bit of copies it is ORed in after the copies placed so far.
+    """
+    tiled = 0
+    placed = 0
+    block = bits
+    width = 1
+    while True:
+        if copies & 1:
+            tiled |= block << (placed * step)
+            placed += width
+        copies >>= 1
+        if not copies:
+            return tiled
+        block |= block << (width * step)
+        width *= 2
 
 
 def _coverage_1d(f: int, s: int) -> dict[int, int]:
@@ -155,16 +191,26 @@ class EquivalenceReport:
 
 def check_equivalence(network: NetworkSpec) -> EquivalenceReport:
     """Compare bottom-up, top-down, and oracle answers for every layer, and
-    closed-form against counted PF sizes for every boundary."""
+    closed-form against counted PF sizes for every boundary.
+
+    Raises SpanBudgetError, before the oracle allocates anything, when the
+    ERF exceeds SPAN_BUDGET bits on either axis.
+    """
     require_valid(network)
     trace = fields.erf_bottom_up(network)
+    if max(trace.final) > SPAN_BUDGET:
+        raise SpanBudgetError(
+            f"influence span {trace.final[0]}x{trace.final[1]} exceeds the "
+            f"{SPAN_BUDGET}-bit oracle budget: too large to enumerate"
+        )
+    top_down = fields.erf_top_down(network)
     height, width = axis_chains(network.layers)
     swept = zip(_influence_1d(*height), _influence_1d(*width))
     erf_rows = tuple(
         ErfAgreementRow(
             layer=k,
             bottom_up=trace.values[k],
-            top_down=fields.rf_top_down(network, k).values[-1],
+            top_down=top_down[k],
             oracle_span=(h[0], w[0]),
             oracle_cardinality=(h[1], w[1]),
         )

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import random
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import DATA
 
 import fieldscope.cli as cli
+import fieldscope.oracle as oracle
 from fieldscope.cli import main
 from fieldscope.oracle import EquivalenceReport, ErfAgreementRow
 
@@ -20,6 +25,24 @@ def write_net(tmp_path, text, name="net.net"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def verify_in_a_child(path, address_space=800 * 2**20):
+    """Run `python -m fieldscope verify path` with the child's address space capped."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run(
+        [sys.executable, "-m", "fieldscope", "verify", path],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap,
+        timeout=120,
+    )
 
 
 class TestAnalyze:
@@ -210,6 +233,47 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "0            0x0, 0x1, 1x0, 1x1  0x0, 0x1, 1x0, 1x1  ok" in out
         assert "overall: PASS" in out
+
+    def test_a_span_past_the_budget_exits_2_in_one_line(self, tmp_path, capsys):
+        # a sparse chain: 2 wired positions, 2**40 apart, so 2**40 + 1 bits of span
+        path = write_net(tmp_path, "conv 1 s1099511627776\nconv 2 s1\n")
+        assert main(["verify", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert errors == [
+            "fieldscope: error: influence span 1099511627777x1099511627777 exceeds "
+            "the 268435456-bit oracle budget: too large to enumerate"
+        ]
+
+    def test_a_refused_random_trial_names_its_trial_and_seed(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "SPAN_BUDGET", 1)
+        assert main(["verify", "--random", "--trials", "3", "--seed", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fieldscope: error: trial 0 (seed 7): influence span ")
+        assert captured.err.endswith("too large to enumerate\n")
+        assert captured.err.count("\n") == 1
+
+    def test_a_50_layer_chain_passes_in_bounded_memory(self, tmp_path):
+        rng = random.Random(3)
+        layers = []
+        for _ in range(50):
+            f = rng.randint(1, 5)
+            s = rng.randint(1, 2)
+            layers.append(f"conv {f} s{s}\n")
+        proc = verify_in_a_child(write_net(tmp_path, "".join(layers)))
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0
+        assert "overall: PASS" in proc.stdout
+
+    def test_a_span_of_2_to_the_40_is_refused_without_allocating_it(self, tmp_path):
+        proc = verify_in_a_child(write_net(tmp_path, "conv 2 s2\n" * 40))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("fieldscope:") == 1
+        assert proc.stderr.endswith("too large to enumerate\n")
 
 
 class TestFootprint:

@@ -4,7 +4,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import CHAIN11_ERF, CHAIN11_TOPDOWN, insert_layer, make_network
@@ -15,10 +15,12 @@ from fieldscope import (
     Direction,
     FieldOverflowError,
     LayerRangeError,
+    MAX_FIELD_VALUE,
     NetworkSpec,
     check_equivalence,
     deconv_view,
     erf_bottom_up,
+    erf_top_down,
     pf_size_set,
     rf_top_down,
 )
@@ -100,6 +102,16 @@ class TestRfTopDown:
             rf_top_down(chain11, 12)
 
 
+class TestErfTopDown:
+    def test_fixture_scan_matches_pinned_values(self, chain11):
+        assert heights(erf_top_down(chain11)) == CHAIN11_ERF
+
+    def test_gapped_layers_shrink_the_offset(self):
+        # stride 3 over filter 2 gives f - s = -1: b goes negative, a + b stays 5
+        network = make_network(("conv", 2, 3), ("conv", 2, 1))
+        assert erf_top_down(network) == ((1, 1), (2, 2), (5, 5))
+
+
 class TestPfSizeSet:
     def test_overlapping_windows_give_four_sizes(self):
         network = make_network(("conv", 5, 2), ("conv", 5, 2))
@@ -152,6 +164,11 @@ class TestOverflow:
         with pytest.raises(FieldOverflowError):
             rf_top_down(runaway, 40)
 
+    def test_scan_overflow_is_explicit(self):
+        runaway = make_network(*[("conv", 3, 4)] * 40)
+        with pytest.raises(FieldOverflowError, match="projection of layer 32"):
+            erf_top_down(runaway)
+
     def test_increment_overflow_is_explicit(self):
         # 31 unit pools keep the ERF at 1 but scale the next increment to 2 * 4**31
         runaway = make_network(*[("pool", 1, 4)] * 31, ("conv", 3, 1))
@@ -170,6 +187,42 @@ def test_bottom_up_and_top_down_agree_everywhere(network):
     trace = erf_bottom_up(network)
     for k in range(len(network.layers) + 1):
         assert rf_top_down(network, k).values[-1] == trace.values[k]
+
+
+@given(networks())
+def test_scan_matches_every_per_layer_projection(network):
+    expected = tuple(rf_top_down(network, k).values[-1] for k in range(len(network.layers) + 1))
+    assert erf_top_down(network) == expected
+
+
+def _raises_overflow(compute) -> bool:
+    try:
+        compute()
+    except FieldOverflowError:
+        return True
+    return False
+
+
+@st.composite
+def cap_crossing_networks(draw):
+    """Chains whose ERFs land on either side of MAX_FIELD_VALUE, axes apart."""
+    sizes = st.integers(1, 2**32)
+    layers = [
+        ("conv", (draw(sizes), draw(sizes)), (draw(sizes), draw(sizes)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return make_network(*layers)
+
+
+@given(cap_crossing_networks())
+@example(make_network(("conv", MAX_FIELD_VALUE, 1)))
+@example(make_network(("conv", 2, 2**62), ("conv", 2, 1)))
+@example(make_network(("conv", 2, 2**62), ("conv", 3, 1)))
+@example(make_network(*[("pool", 1, 4)] * 40, ("conv", 1, 1)))
+def test_scan_overflows_exactly_when_a_projection_does(network):
+    layers = range(len(network.layers) + 1)
+    projected = any(_raises_overflow(lambda: rf_top_down(network, k)) for k in layers)
+    assert _raises_overflow(lambda: erf_top_down(network)) == projected
 
 
 @given(networks(), st.data())
@@ -248,4 +301,5 @@ def test_concatenation_law_holds_on_every_route(first, second):
     top = len(joined.layers)
     assert erf_bottom_up(joined).final == expected
     assert rf_top_down(joined, top).values[-1] == expected
+    assert erf_top_down(joined)[top] == expected
     assert check_equivalence(joined).erf_rows[top].oracle_span == expected

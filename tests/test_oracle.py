@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_network
+from conftest import CHAIN11_ERF, make_network
 from reference import backward_influence, span_and_cardinality
 from strategies import networks
 
+import fieldscope.oracle as oracle
 from fieldscope import (
+    SpanBudgetError,
     check_equivalence,
     erf_bottom_up,
     pf_counts_oracle,
@@ -108,7 +110,7 @@ class TestPfCountsOracle:
         assert set(field.counts_h) == {f // s, -(-f // s)}
 
 
-@given(networks(max_layers=4, max_filter=4, max_stride=3))
+@given(networks(max_layers=4, max_filter=11, max_stride=3))
 def test_sweep_matches_naive_expansion(network):
     for row in check_equivalence(network).erf_rows:
         naive = [span_and_cardinality(network, row.layer, axis) for axis in (0, 1)]
@@ -140,6 +142,12 @@ class TestCheckEquivalence:
         assert all(row.matches for row in report.pf_rows)
         assert report.first_mismatch() is None
 
+    def test_top_down_comes_from_one_scan_not_per_layer_projections(self, chain11, monkeypatch):
+        monkeypatch.setattr(oracle.fields, "rf_top_down", lambda *args: pytest.fail("projected"))
+        report = check_equivalence(chain11)
+        assert [row.top_down[0] for row in report.erf_rows] == CHAIN11_ERF
+        assert report.passed
+
     def test_gaps_are_reported_but_spans_still_match(self):
         network = make_network(("conv", 2, 3), ("conv", 2, 1))
         report = check_equivalence(network)
@@ -150,6 +158,21 @@ class TestCheckEquivalence:
         assert [row.boundary for row in report.pf_rows] == [0, 1]
         assert report.pf_rows[0].closed_form == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert report.pf_rows[0].matches
+
+
+class TestSpanBudget:
+    def test_a_span_past_the_budget_is_refused_before_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_influence_1d", lambda *chain: pytest.fail("swept"))
+        monkeypatch.setattr(oracle, "pf_counts_oracle", lambda *layer: pytest.fail("counted"))
+        network = make_network(*[("conv", 2, 2)] * 40)
+        with pytest.raises(SpanBudgetError, match="too large to enumerate"):
+            check_equivalence(network)
+
+    def test_the_budget_bounds_the_erf_on_either_axis(self, monkeypatch):
+        monkeypatch.setattr(oracle, "SPAN_BUDGET", 9)
+        assert check_equivalence(make_network(("conv", 9, 1))).passed
+        with pytest.raises(SpanBudgetError, match="1x10 exceeds the 9-bit"):
+            check_equivalence(make_network(("conv", (1, 10), 1)))
 
 
 class TestRandomNetwork:
