@@ -97,6 +97,17 @@ def validate(network: NetworkSpec) -> ValidationReport:
     if not network.layers:
         errors.append((0, "network has no layers"))
     for position, layer in enumerate(network.layers, start=1):
+        size, step, channels = layer.filter, layer.stride, layer.channels_out
+        # Nearly every layer is clean, so clear it with one chained
+        # comparison; only a layer with a finding walks the per-axis detail
+        # below, which fixes the text and order of every finding.
+        if (
+            layer.index == position
+            and size[0] >= step[0] >= 1
+            and size[1] >= step[1] >= 1
+            and (channels is None or channels >= 1)
+        ):
+            continue
         if layer.index != position:
             errors.append(
                 (layer.index, f"layer indices must run 1..n without gaps (expected {position})")

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from . import fields
-from .arch import Direction, LayerKind, LayerSpec, NetworkSpec, axis_chains, require_valid
+from .arch import Direction, LayerKind, LayerSpec, NetworkSpec, axis_chains
 from .fields import Pair
 
 # Widest influence bitset the oracle builds, in bits (32 MiB per int).
@@ -100,23 +100,20 @@ def _tile(bits: int, copies: int, step: int) -> int:
 def _coverage_1d(f: int, s: int) -> dict[int, int]:
     """Coverage count -> number of offsets with it over one stride period, one axis.
 
-    Positions are scanned over one stride period deep inside the grid, far
-    enough from the origin that every window which could cover a scanned
-    position exists. Counts repeat with period s, so one period tells all.
-    Only covered offsets are tallied, at most f of them, so the cost grows
+    Window p reads positions p*s .. p*s + f - 1, so an interior position x
+    (one far enough from the origin that every window which could cover it
+    exists) is read by tap t of exactly one window for each tap t < f with
+    t = x (mod s). One pass over the taps therefore tallies the coverage of
+    every offset of the period by residue. Counts repeat with period s, so
+    one period tells all. At most f offsets are covered, so the cost grows
     with the filter and not with the stride; the rest of the period has 0.
     """
     if f < 1 or s < 1:
         raise ValueError(f"filter and stride must be >= 1, got f={f} s={s}")
-    start = f  # offsets start..start+s-1 are interior
-    last = start + s - 1
     covered: dict[int, int] = {}
-    for p in range(last // s + 1):
-        # window p reads lo..hi; tally the part inside the period
-        lo = p * s
-        hi = lo + f - 1
-        for x in range(lo if lo > start else start, (hi if hi < last else last) + 1):
-            covered[x] = covered.get(x, 0) + 1
+    for t in range(f):
+        residue = t % s
+        covered[residue] = covered.get(residue, 0) + 1
     counts: dict[int, int] = {}
     for c in covered.values():
         counts[c] = counts.get(c, 0) + 1
@@ -196,7 +193,7 @@ def check_equivalence(network: NetworkSpec) -> EquivalenceReport:
     Raises SpanBudgetError, before the oracle allocates anything, when the
     ERF exceeds SPAN_BUDGET bits on either axis.
     """
-    require_valid(network)
+    # erf_bottom_up validates first, raising InvalidNetworkError.
     trace = fields.erf_bottom_up(network)
     if max(trace.final) > SPAN_BUDGET:
         raise SpanBudgetError(

@@ -1,14 +1,19 @@
-"""Naive per-position wiring expansion, the reference the oracle's sweep is
+"""Straightforward references that the library's faster code is
 property-checked against.
 
-Starting from position 0 at layer k, each layer-j position p becomes the
-layer j-1 positions p*s_j .. p*s_j + f_j - 1; unions of those windows are
-taken all the way down to the input. Pure connectivity, no shortcuts.
+backward_influence is the naive per-position wiring expansion behind the
+oracle's sweep: starting from position 0 at layer k, each layer-j position p
+becomes the layer j-1 positions p*s_j .. p*s_j + f_j - 1; unions of those
+windows are taken all the way down to the input. Pure connectivity, no
+shortcuts.
+
+validate_reference walks every axis of every layer, with no fast path for a
+clean layer.
 """
 
 from __future__ import annotations
 
-from fieldscope import NetworkSpec
+from fieldscope import NetworkSpec, ValidationReport
 
 
 def backward_influence(network: NetworkSpec, k: int, axis: int) -> tuple[int, ...]:
@@ -23,3 +28,30 @@ def backward_influence(network: NetworkSpec, k: int, axis: int) -> tuple[int, ..
 def span_and_cardinality(network: NetworkSpec, k: int, axis: int) -> tuple[int, int]:
     positions = backward_influence(network, k, axis)
     return positions[-1] - positions[0] + 1, len(positions)
+
+
+def validate_reference(network: NetworkSpec) -> ValidationReport:
+    """The findings validate() must report, in the order it must report them."""
+    errors: list[tuple[int, str]] = []
+    warnings: list[tuple[int, str]] = []
+    if not network.layers:
+        errors.append((0, "network has no layers"))
+    for position, layer in enumerate(network.layers, start=1):
+        if layer.index != position:
+            errors.append(
+                (layer.index, f"layer indices must run 1..n without gaps (expected {position})")
+            )
+        for axis_name, f, s in zip(("height", "width"), layer.filter, layer.stride):
+            if f < 1:
+                errors.append((layer.index, f"{axis_name} filter must be >= 1 (got {f})"))
+            if s < 1:
+                errors.append((layer.index, f"{axis_name} stride must be >= 1 (got {s})"))
+            elif f >= 1 and s > f:
+                warnings.append(
+                    (layer.index, f"stride exceeds filter on {axis_name} axis: coverage gaps")
+                )
+        if layer.channels_out is not None and layer.channels_out < 1:
+            errors.append(
+                (layer.index, f"channels_out must be >= 1 (got {layer.channels_out})")
+            )
+    return ValidationReport(tuple(errors), tuple(warnings))

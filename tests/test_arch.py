@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_network
+from reference import validate_reference
 from strategies import networks
 
 from fieldscope import (
@@ -100,3 +102,51 @@ def test_validate_is_deterministic_and_clean_on_generated_networks(network):
     second = validate(network)
     assert first == second
     assert first.ok
+
+
+def _chain(*layers):
+    """A chain of hand-built (index, filter, stride, channels_out) layers."""
+    return NetworkSpec(
+        name="",
+        direction=Direction.CONV,
+        layers=tuple(
+            LayerSpec(index=i, kind=LayerKind.CONV, filter=f, stride=s, channels_out=c)
+            for i, f, s, c in layers
+        ),
+    )
+
+
+@st.composite
+def hand_built_networks(draw):
+    """Chains with any mix of findings: index gaps, filters and strides of
+    -1..5 per axis, channel counts of None, -1, 0, 1 or 3, and no layers.
+
+    Each axis is clean (filter >= stride >= 1) or drawn from the whole
+    range, so a finding on one field often sits in an otherwise clean layer.
+    """
+    n = draw(st.integers(0, 6))
+    sizes = st.integers(-1, 5)
+    clean_axis = st.integers(1, 5).flatmap(lambda s: st.tuples(st.integers(s, 5), st.just(s)))
+    axes = clean_axis | st.tuples(sizes, sizes)
+    layers = []
+    for position in range(1, n + 1):
+        (fh, sh), (fw, sw) = draw(axes), draw(axes)
+        index = draw(st.just(position) | st.integers(-1, n + 2))
+        channels = draw(st.sampled_from((None, -1, 0, 1, 3)))
+        layers.append((index, (fh, fw), (sh, sw), channels))
+    return _chain(*layers)
+
+
+# One finding in an otherwise clean layer, for each term of the clean-layer test.
+@example(_chain())
+@example(_chain((2, (3, 3), (1, 1), None)))
+@example(_chain((1, (0, 3), (0, 1), None)))
+@example(_chain((1, (3, 3), (1, 0), None)))
+@example(_chain((1, (2, 3), (3, 1), None)))
+@example(_chain((1, (3, 2), (1, 3), None)))
+@example(_chain((1, (3, 3), (1, 1), 0)))
+@settings(max_examples=300)
+@given(hand_built_networks())
+def test_validate_matches_the_per_axis_reference(network):
+    # compares errors, warnings and their order
+    assert validate(network) == validate_reference(network)

@@ -86,12 +86,14 @@ class TestPfCountsOracle:
         assert field.counts_w == {3: 1}
         assert field.size_pairs == frozenset({(0, 3), (1, 3)})
 
-    @given(st.integers(1, 12), st.integers(1, 12))
+    @given(st.integers(1, 40), st.integers(1, 12))
     def test_counts_agree_with_a_wide_sliding_simulation(self, f, s):
         field = pf_counts_oracle((f, f), (s, s))
         # lay enough windows over a long row that the middle is saturated,
-        # then read one full period from it
-        windows = 64
+        # then read one full period from it; the windows covering the
+        # checked stretch start .. start + 5s - 1 are numbered at most
+        # f // s + 6
+        windows = f // s + 8
         width = (windows - 1) * s + f
         hits = [0] * width
         for p in range(windows):
