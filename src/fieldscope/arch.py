@@ -50,15 +50,6 @@ class NetworkSpec:
     direction: Direction
     layers: tuple[LayerSpec, ...]
 
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def layer(self, k: int) -> LayerSpec:
-        """Return layer k (1-based)."""
-        if not 1 <= k <= len(self.layers):
-            raise LayerRangeError(f"layer index {k} out of range 1..{len(self.layers)}")
-        return self.layers[k - 1]
-
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -56,11 +56,6 @@ class RfProjection:
     target_layer: int
     values: tuple[Pair, ...]
 
-    def at_layer(self, j: int) -> Pair:
-        if not 0 <= j <= self.target_layer:
-            raise LayerRangeError(f"layer index {j} out of range 0..{self.target_layer}")
-        return self.values[self.target_layer - j]
-
 
 @dataclass(frozen=True)
 class PfSizeSet:

@@ -176,15 +176,6 @@ class EquivalenceReport:
             r.matches for r in self.pf_rows
         )
 
-    def first_mismatch(self) -> ErfAgreementRow | PfAgreementRow | None:
-        for row in self.erf_rows:
-            if not row.matches:
-                return row
-        for row in self.pf_rows:
-            if not row.matches:
-                return row
-        return None
-
 
 def check_equivalence(network: NetworkSpec) -> EquivalenceReport:
     """Compare bottom-up, top-down, and oracle answers for every layer, and

@@ -60,6 +60,10 @@ class ManifestWarning(UserWarning):
     """Non-fatal manifest finding, e.g. an unknown key."""
 
 
+# A whole canonical layer line, tried before tokenizing. Any other line takes
+# the tokenizer, which owns every diagnostic and would build the same layer.
+_LAYER_LINE = re.compile(r"\s*(conv|pool)\s+(\d+)(?:x(\d+))?\s+s(\d+)(?:x(\d+))?(?:\s+c(\d+))?\s*")
+_KINDS = {kind.value: kind for kind in LayerKind}  # a dict hit costs far less than LayerKind()
 _TOKEN = re.compile(r"\S+")
 _SIZE = re.compile(r"(\d+)(?:x(\d+))?")
 _STRIDE = re.compile(r"s(\d+)(?:x(\d+))?")
@@ -109,6 +113,24 @@ def parse_dsl(text: str) -> NetworkSpec:
 
     for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0]
+        match = _LAYER_LINE.fullmatch(line)
+        if match is not None:
+            kind, fh, fw, sh, sw, channels = match.groups()
+            try:
+                h, s = int(fh), int(sh)
+                layer = LayerSpec(
+                    index=len(layers) + 1,
+                    kind=_KINDS[kind],
+                    filter=(h, h if fw is None else int(fw)),
+                    stride=(s, s if sw is None else int(sw)),
+                    channels_out=None if channels is None else int(channels),
+                )
+            except ValueError:
+                pass  # a literal past int()'s digit limit; the tokenizer reports it
+            else:
+                layers.append(layer)
+                first_significant = False
+                continue
         tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
         if not tokens:
             continue

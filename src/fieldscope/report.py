@@ -128,12 +128,12 @@ def render_analysis_json(report: AnalysisReport) -> str:
 
 def render_topdown_table(network: NetworkSpec, projection: RfProjection) -> str:
     k = projection.target_layer
-    lines = [f"top-down projection of layer {k} (network {network.name or '(unnamed)'})"]
-    rows = [
-        [str(k - i), _cell(pair)]
-        for i, pair in enumerate(projection.values)
+    width = max(len("layer"), len(str(k)))  # labels run k..0; rf, the last column, is unpadded
+    lines = [
+        f"top-down projection of layer {k} (network {network.name or '(unnamed)'})",
+        "layer".ljust(width) + "  rf",
     ]
-    lines += _table(["layer", "rf"], rows)
+    lines += [f"{str(k - i).ljust(width)}  {h}x{w}" for i, (h, w) in enumerate(projection.values)]
     return "\n".join(lines) + "\n"
 
 

@@ -9,11 +9,14 @@ shortcuts.
 
 validate_reference walks every axis of every layer, with no fast path for a
 clean layer.
+
+topdown_table_reference lays the top-down table out in two passes: every
+column padded to its widest cell, each line right-stripped.
 """
 
 from __future__ import annotations
 
-from fieldscope import NetworkSpec, ValidationReport
+from fieldscope import NetworkSpec, RfProjection, ValidationReport
 
 
 def backward_influence(network: NetworkSpec, k: int, axis: int) -> tuple[int, ...]:
@@ -55,3 +58,13 @@ def validate_reference(network: NetworkSpec) -> ValidationReport:
                 (layer.index, f"channels_out must be >= 1 (got {layer.channels_out})")
             )
     return ValidationReport(tuple(errors), tuple(warnings))
+
+
+def topdown_table_reference(network: NetworkSpec, projection: RfProjection) -> str:
+    k = projection.target_layer
+    rows = [["layer", "rf"]]
+    rows += [[str(k - i), f"{h}x{w}"] for i, (h, w) in enumerate(projection.values)]
+    widths = [max(len(row[column]) for row in rows) for column in range(2)]
+    lines = [f"top-down projection of layer {k} (network {network.name or '(unnamed)'})"]
+    lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    return "\n".join(lines) + "\n"

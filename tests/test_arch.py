@@ -87,15 +87,6 @@ def test_calculators_reject_invalid_networks():
         erf_bottom_up(make_network(("conv", 0, 1)))
 
 
-def test_layer_accessor_is_one_based():
-    network = make_network(("conv", 3, 1), ("pool", 2, 2))
-    assert network.layer(2).kind is LayerKind.POOL
-    with pytest.raises(IndexError):
-        network.layer(0)
-    with pytest.raises(IndexError):
-        network.layer(3)
-
-
 @given(networks(named=True))
 def test_validate_is_deterministic_and_clean_on_generated_networks(network):
     first = validate(network)

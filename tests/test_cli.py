@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA
+from conftest import DATA, make_network
+from reference import topdown_table_reference
 
 import fieldscope.cli as cli
 import fieldscope.oracle as oracle
+from fieldscope import render_topdown_table, rf_top_down
 from fieldscope.cli import main
 from fieldscope.oracle import EquivalenceReport, ErfAgreementRow
 
@@ -161,6 +163,28 @@ class TestTopdown:
     def test_out_of_range_layer_exits_2(self, capsys):
         assert main(["topdown", CHAIN11, "--layer", "12"]) == 2
         assert "out of range" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def mixed_chain():
+    """99999 stride-1 layers with mixed anisotropic filters."""
+    layers = (("conv", (j % 5 + 1, j % 3 + 1), 1) for j in range(99999))
+    return make_network(*layers, name="mixed")
+
+
+@pytest.mark.parametrize("k", [0, 9, 10, 99999])
+def test_topdown_table_matches_the_two_pass_layout(mixed_chain, k):
+    projection = rf_top_down(mixed_chain, k)
+    expected = topdown_table_reference(mixed_chain, projection)
+    assert render_topdown_table(mixed_chain, projection) == expected
+
+
+def test_topdown_table_label_column_outgrows_its_header():
+    network = make_network(*[("conv", 1, 1)] * 100000)
+    projection = rf_top_down(network, 100000)
+    text = render_topdown_table(network, projection)
+    assert text == topdown_table_reference(network, projection)
+    assert text.splitlines()[1:3] == ["layer   rf", "100000  1x1"]
 
 
 class TestVerify:

@@ -85,8 +85,8 @@ class TestRfTopDown:
     def test_fixture_projection_matches_pinned_values(self, chain11):
         projection = rf_top_down(chain11, 11)
         assert heights(projection.values) == CHAIN11_TOPDOWN
-        assert projection.at_layer(0) == (400, 400)
-        assert projection.at_layer(11) == (1, 1)
+        assert projection.values[-1] == (400, 400)
+        assert projection.values[0] == (1, 1)
 
     def test_projection_onto_itself(self, chain11):
         assert rf_top_down(chain11, 0).values == ((1, 1),)

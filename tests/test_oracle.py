@@ -142,7 +142,6 @@ class TestCheckEquivalence:
         assert not any(row.has_coverage_gaps for row in report.erf_rows)
         assert len(report.pf_rows) == 11
         assert all(row.matches for row in report.pf_rows)
-        assert report.first_mismatch() is None
 
     def test_top_down_comes_from_one_scan_not_per_layer_projections(self, chain11, monkeypatch):
         monkeypatch.setattr(oracle.fields, "rf_top_down", lambda *args: pytest.fail("projected"))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import warnings
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import DATA, make_network
 from strategies import networks
 
+import fieldscope.parsing as parsing
 from fieldscope import (
     Direction,
     LayerKind,
@@ -211,3 +213,57 @@ def test_manifest_parsing_is_total(text):
             for diagnostic in exc.diagnostics:
                 assert 1 <= diagnostic.line <= max(1, len(lines))
                 assert diagnostic.column >= 1
+
+
+def _parse_outcome(text):
+    """parse_dsl's network, or the diagnostics it raised."""
+    try:
+        return parse_dsl(text)
+    except ParseError as exc:
+        return exc.diagnostics
+
+
+# Words for each field of a layer line: those a layer line allows, then
+# broken ones. An empty word drops its field; an empty gap glues two words.
+DSL_FIELDS = (
+    (("conv", "pool"), ("deconv", "network", "relu", "")),
+    (("3", "12", "0", "\u0663", "3x4", "4x3"), ("3x", "x3", "", LONG_LITERAL)),
+    (("s1", "s2", "s2x3"), ("s", "sx1", "s1c4", "", "s" + LONG_LITERAL)),
+    (("", "c4", "c0"), ("c", "s1", "c" + LONG_LITERAL)),
+    (("", "#", "# note"), ("extra",)),
+)
+DSL_GAPS = ("", " ", "  ", "\t", "\r", "\x0b", "\x1c", "\u3000")
+
+
+def _dsl_line(fields):
+    gap = st.sampled_from(DSL_GAPS)
+    return st.tuples(*(st.tuples(gap, st.sampled_from(words)) for words in fields), gap).map(
+        lambda drawn: "".join(g + word for g, word in drawn[:-1]) + drawn[-1]
+    )
+
+
+# Half the lines draw only allowed words, so most of those are layer lines.
+dsl_lines = _dsl_line([good for good, _ in DSL_FIELDS]) | _dsl_line(
+    [good + bad for good, bad in DSL_FIELDS]
+)
+dsl_texts = st.tuples(
+    st.lists(dsl_lines, max_size=6), st.sampled_from(("\n", "\r\n"))
+).map(lambda drawn: drawn[1].join(drawn[0]))
+
+
+@given(dsl_texts)
+@example("conv3 s1")
+@example("conv 3 s1c4")
+@example("conv 3x s1")
+@example("conv \u0663 s1")
+@example("conv 3x4 s2x1 c8")
+@example("conv\x0b3\x1cs1\u3000c4")
+@example("network n\r\nconv 3 s1\r\npool 2x3 s2 # tail\r\n")
+@example(f"conv {LONG_LITERAL} s1")
+@example("conv 3 s1\ndeconv")
+def test_layer_line_fast_path_matches_the_tokenizer(text):
+    fast = _parse_outcome(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parsing, "_LAYER_LINE", re.compile(r"(?!)"))
+        slow = _parse_outcome(text)
+    assert fast == slow
