@@ -1,7 +1,7 @@
 """Architecture model: linear chains of convolution and pooling layers.
 
 The input image is the implicit layer 0 and is never represented as a
-LayerSpec; explicit layers are numbered 1..n.
+LayerSpec; explicit layers are numbered 1..n by their position in the chain.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ class LayerSpec:
 
     filter and stride are (height, width) pairs in pixels. channels_out is
     reporting-only metadata (depth multiplier); it never enters any field
-    computation.
+    computation. A layer's number is its position in NetworkSpec.layers, so
+    one immutable record can stand for every repeat of the same layer.
     """
 
-    index: int
     kind: LayerKind
     filter: tuple[int, int]
     stride: tuple[int, int]
@@ -53,7 +53,7 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Findings from validate(): (layer index, message) pairs."""
+    """Findings from validate(): (layer position, message) pairs."""
 
     errors: tuple[tuple[int, str], ...]
     warnings: tuple[tuple[int, str], ...]
@@ -93,29 +93,22 @@ def validate(network: NetworkSpec) -> ValidationReport:
         # comparison; only a layer with a finding walks the per-axis detail
         # below, which fixes the text and order of every finding.
         if (
-            layer.index == position
-            and size[0] >= step[0] >= 1
+            size[0] >= step[0] >= 1
             and size[1] >= step[1] >= 1
             and (channels is None or channels >= 1)
         ):
             continue
-        if layer.index != position:
-            errors.append(
-                (layer.index, f"layer indices must run 1..n without gaps (expected {position})")
-            )
-        for axis_name, f, s in zip(AXIS_NAMES, layer.filter, layer.stride):
+        for axis_name, f, s in zip(AXIS_NAMES, size, step):
             if f < 1:
-                errors.append((layer.index, f"{axis_name} filter must be >= 1 (got {f})"))
+                errors.append((position, f"{axis_name} filter must be >= 1 (got {f})"))
             if s < 1:
-                errors.append((layer.index, f"{axis_name} stride must be >= 1 (got {s})"))
+                errors.append((position, f"{axis_name} stride must be >= 1 (got {s})"))
             elif f >= 1 and s > f:
                 warnings.append(
-                    (layer.index, f"stride exceeds filter on {axis_name} axis: coverage gaps")
+                    (position, f"stride exceeds filter on {axis_name} axis: coverage gaps")
                 )
-        if layer.channels_out is not None and layer.channels_out < 1:
-            errors.append(
-                (layer.index, f"channels_out must be >= 1 (got {layer.channels_out})")
-            )
+        if channels is not None and channels < 1:
+            errors.append((position, f"channels_out must be >= 1 (got {channels})"))
     return ValidationReport(tuple(errors), tuple(warnings))
 
 

@@ -215,29 +215,13 @@ def check_equivalence(network: NetworkSpec) -> EquivalenceReport:
     return EquivalenceReport(network_name=network.name, erf_rows=erf_rows, pf_rows=pf_rows)
 
 
-def random_network(
-    rng: random.Random,
-    *,
-    max_layers: int = 8,
-    max_filter: int = 11,
-    max_stride: int = 4,
-    covered_only: bool = False,
-    name: str = "",
-) -> NetworkSpec:
-    """Sample a chain within the randomized-suite bounds.
-
-    covered_only caps each stride at its filter so the windows tile without
-    gaps; use it when cardinality must equal span.
-    """
-    n = rng.randint(1, max_layers)
+def random_network(rng: random.Random, *, name: str = "") -> NetworkSpec:
+    """Sample a chain of 1..8 layers, filters 1..11 and strides 1..4 per axis."""
     layers = []
-    for k in range(1, n + 1):
+    for _ in range(rng.randint(1, 8)):
         kind = rng.choice((LayerKind.CONV, LayerKind.POOL))
-        f = (rng.randint(1, max_filter), rng.randint(1, max_filter))
-        if covered_only:
-            s = (rng.randint(1, min(max_stride, f[0])), rng.randint(1, min(max_stride, f[1])))
-        else:
-            s = (rng.randint(1, max_stride), rng.randint(1, max_stride))
+        f = (rng.randint(1, 11), rng.randint(1, 11))
+        s = (rng.randint(1, 4), rng.randint(1, 4))
         channels = rng.randint(1, 128) if rng.random() < 0.2 else None
-        layers.append(LayerSpec(index=k, kind=kind, filter=f, stride=s, channels_out=channels))
+        layers.append(LayerSpec(kind=kind, filter=f, stride=s, channels_out=channels))
     return NetworkSpec(name=name, direction=Direction.CONV, layers=tuple(layers))

@@ -110,16 +110,18 @@ def parse_dsl(text: str) -> NetworkSpec:
     name = ""
     direction = Direction.CONV
     first_significant = True
+    # Layer lines the regex accepted, mapped to the record built for each:
+    # a repeated line reuses its immutable LayerSpec.
+    seen: dict[str, LayerSpec] = {}
 
     for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0]
-        match = _LAYER_LINE.fullmatch(line)
-        if match is not None:
+        layer = seen.get(line)
+        if layer is None and (match := _LAYER_LINE.fullmatch(line)) is not None:
             kind, fh, fw, sh, sw, channels = match.groups()
             try:
                 h, s = int(fh), int(sh)
-                layer = LayerSpec(
-                    index=len(layers) + 1,
+                layer = seen[line] = LayerSpec(
                     kind=_KINDS[kind],
                     filter=(h, h if fw is None else int(fw)),
                     stride=(s, s if sw is None else int(sw)),
@@ -127,10 +129,10 @@ def parse_dsl(text: str) -> NetworkSpec:
                 )
             except ValueError:
                 pass  # a literal past int()'s digit limit; the tokenizer reports it
-            else:
-                layers.append(layer)
-                first_significant = False
-                continue
+        if layer is not None:
+            layers.append(layer)
+            first_significant = False
+            continue
         tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
         if not tokens:
             continue
@@ -170,7 +172,7 @@ def parse_dsl(text: str) -> NetworkSpec:
             )
             continue
 
-        layer = _parse_dsl_layer(tokens, lineno, len(layers) + 1, diagnostics)
+        layer = _parse_dsl_layer(tokens, lineno, diagnostics)
         if layer is not None:
             layers.append(layer)
 
@@ -184,7 +186,6 @@ def parse_dsl(text: str) -> NetworkSpec:
 def _parse_dsl_layer(
     tokens: list[tuple[str, int]],
     lineno: int,
-    index: int,
     diagnostics: list[ParseDiagnostic],
 ) -> LayerSpec | None:
     kind = LayerKind(tokens[0][0])
@@ -243,7 +244,7 @@ def _parse_dsl_layer(
             return None
     if size is None or stride is None:
         return None
-    return LayerSpec(index=index, kind=kind, filter=size, stride=stride, channels_out=channels)
+    return LayerSpec(kind=kind, filter=size, stride=stride, channels_out=channels)
 
 
 _KEY_VALUE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)")
@@ -344,7 +345,7 @@ def _string_value(entry: tuple[str, int, int] | None, default: str) -> str:
 
 
 def _build_manifest_layer(
-    index: int,
+    position: int,
     header_line: int,
     keys: dict[str, tuple[str, int, int]],
     diagnostics: list[ParseDiagnostic],
@@ -353,7 +354,7 @@ def _build_manifest_layer(
     for required in ("kind", "filter", "stride"):
         if required not in keys:
             diagnostics.append(
-                ParseDiagnostic(header_line, 1, f"layer {index} is missing key {required!r}")
+                ParseDiagnostic(header_line, 1, f"layer {position} is missing key {required!r}")
             )
             bad = True
     if bad:
@@ -399,7 +400,7 @@ def _build_manifest_layer(
             return None
     if size is None or stride is None:
         return None
-    return LayerSpec(index=index, kind=kind, filter=size, stride=stride, channels_out=channels)
+    return LayerSpec(kind=kind, filter=size, stride=stride, channels_out=channels)
 
 
 def serialize_dsl(network: NetworkSpec) -> str:

@@ -71,8 +71,7 @@ def render_analysis_table(report: AnalysisReport) -> str:
 
     lines = [f"network {network.name or '(unnamed)'} ({network.direction.value})", ""]
     rows = []
-    for layer in network.layers:
-        i = layer.index
+    for i, layer in enumerate(network.layers, start=1):
         rows.append(
             [
                 str(i),
@@ -104,15 +103,15 @@ def render_analysis_json(report: AnalysisReport) -> str:
         "direction": network.direction.value,
         "layers": [
             {
-                "index": layer.index,
+                "index": i,
                 "kind": layer.kind.value,
                 "filter": list(layer.filter),
                 "stride": list(layer.stride),
-                "cum_stride": list(report.trace.cumulative_strides[layer.index - 1]),
-                "increment": list(report.trace.increments[layer.index - 1]),
-                "erf": list(report.trace.values[layer.index]),
+                "cum_stride": list(report.trace.cumulative_strides[i - 1]),
+                "increment": list(report.trace.increments[i - 1]),
+                "erf": list(report.trace.values[i]),
             }
-            for layer in network.layers
+            for i, layer in enumerate(network.layers, start=1)
         ],
         "pf": [
             {

@@ -21,34 +21,21 @@ def make_network(*layers, name="", direction=Direction.CONV):
 
     Scalars fill both axes; pass (h, w) tuples for anisotropic layers.
     """
-    specs = []
-    for index, (kind, size, stride) in enumerate(layers, start=1):
-        size = size if isinstance(size, tuple) else (size, size)
-        stride = stride if isinstance(stride, tuple) else (stride, stride)
-        specs.append(
-            LayerSpec(index=index, kind=LayerKind(kind), filter=size, stride=stride)
-        )
-    return NetworkSpec(name=name, direction=direction, layers=tuple(specs))
+    specs = tuple(_layer(kind, size, stride) for kind, size, stride in layers)
+    return NetworkSpec(name=name, direction=direction, layers=specs)
 
 
 def insert_layer(network, position, kind, size, stride):
-    """Insert a layer so it becomes layer `position`, reindexing the rest."""
+    """Insert a layer so it becomes layer `position`."""
+    layers = list(network.layers)
+    layers.insert(position - 1, _layer(kind, size, stride))
+    return NetworkSpec(name=network.name, direction=network.direction, layers=tuple(layers))
+
+
+def _layer(kind, size, stride):
     size = size if isinstance(size, tuple) else (size, size)
     stride = stride if isinstance(stride, tuple) else (stride, stride)
-    inserted = LayerSpec(index=position, kind=LayerKind(kind), filter=size, stride=stride)
-    layers = list(network.layers)
-    layers.insert(position - 1, inserted)
-    reindexed = tuple(
-        LayerSpec(
-            index=i,
-            kind=layer.kind,
-            filter=layer.filter,
-            stride=layer.stride,
-            channels_out=layer.channels_out,
-        )
-        for i, layer in enumerate(layers, start=1)
-    )
-    return NetworkSpec(name=network.name, direction=network.direction, layers=reindexed)
+    return LayerSpec(kind=LayerKind(kind), filter=size, stride=stride)
 
 
 @pytest.fixture(scope="session")

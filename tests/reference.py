@@ -40,22 +40,18 @@ def validate_reference(network: NetworkSpec) -> ValidationReport:
     if not network.layers:
         errors.append((0, "network has no layers"))
     for position, layer in enumerate(network.layers, start=1):
-        if layer.index != position:
-            errors.append(
-                (layer.index, f"layer indices must run 1..n without gaps (expected {position})")
-            )
         for axis_name, f, s in zip(("height", "width"), layer.filter, layer.stride):
             if f < 1:
-                errors.append((layer.index, f"{axis_name} filter must be >= 1 (got {f})"))
+                errors.append((position, f"{axis_name} filter must be >= 1 (got {f})"))
             if s < 1:
-                errors.append((layer.index, f"{axis_name} stride must be >= 1 (got {s})"))
+                errors.append((position, f"{axis_name} stride must be >= 1 (got {s})"))
             elif f >= 1 and s > f:
                 warnings.append(
-                    (layer.index, f"stride exceeds filter on {axis_name} axis: coverage gaps")
+                    (position, f"stride exceeds filter on {axis_name} axis: coverage gaps")
                 )
         if layer.channels_out is not None and layer.channels_out < 1:
             errors.append(
-                (layer.index, f"channels_out must be >= 1 (got {layer.channels_out})")
+                (position, f"channels_out must be >= 1 (got {layer.channels_out})")
             )
     return ValidationReport(tuple(errors), tuple(warnings))
 

@@ -1,6 +1,8 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and a seeded sampler shared by the tests."""
 
 from __future__ import annotations
+
+import random
 
 import hypothesis.strategies as st
 
@@ -25,7 +27,7 @@ def networks(
     """
     n = draw(st.integers(1, max_layers))
     layers = []
-    for index in range(1, n + 1):
+    for _ in range(n):
         kind = draw(st.sampled_from((LayerKind.CONV, LayerKind.POOL)))
         fh = draw(st.integers(1, max_filter))
         fw = draw(st.integers(1, max_filter))
@@ -33,7 +35,7 @@ def networks(
         sw = draw(st.integers(1, min(max_stride, fw) if covered_only else max_stride))
         channels = draw(st.none() | st.integers(1, 64)) if named else None
         layers.append(
-            LayerSpec(index=index, kind=kind, filter=(fh, fw), stride=(sh, sw), channels_out=channels)
+            LayerSpec(kind=kind, filter=(fh, fw), stride=(sh, sw), channels_out=channels)
         )
     name = draw(st.just("") | names) if named else ""
     direction = (
@@ -42,3 +44,16 @@ def networks(
         else Direction.CONV
     )
     return NetworkSpec(name=name, direction=direction, layers=tuple(layers))
+
+
+def covered_network(rng: random.Random) -> NetworkSpec:
+    """random_network's draws, in its order, with each stride capped at its
+    filter so the windows tile without gaps: cardinality equals span."""
+    layers = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.choice((LayerKind.CONV, LayerKind.POOL))
+        f = (rng.randint(1, 11), rng.randint(1, 11))
+        s = (rng.randint(1, min(4, f[0])), rng.randint(1, min(4, f[1])))
+        channels = rng.randint(1, 128) if rng.random() < 0.2 else None
+        layers.append(LayerSpec(kind=kind, filter=f, stride=s, channels_out=channels))
+    return NetworkSpec(name="", direction=Direction.CONV, layers=tuple(layers))

@@ -15,6 +15,7 @@ import time
 
 from conftest import CHAIN11_ERF, CHAIN11_TOPDOWN, DATA, insert_layer, make_network
 from reference import span_and_cardinality
+from strategies import covered_network
 
 import fieldscope.cli as cli
 from fieldscope import (
@@ -34,9 +35,9 @@ from fieldscope.oracle import EquivalenceReport, ErfAgreementRow
 CHAIN11 = str(DATA / "chain11.net")
 
 
-def seeded_chains(count=1000, **kwargs):
+def seeded_chains(count=1000, sample=random_network):
     rng = random.Random(42)
-    return [random_network(rng, **kwargs) for _ in range(count)]
+    return [sample(rng) for _ in range(count)]
 
 
 def heights(pairs):
@@ -106,7 +107,7 @@ def test_criterion_4_oracle_agrees_on_1000_seeded_chains():
     assert compared_pf > 1000
 
     # and a stream drawn under the restriction itself, checked in full
-    for network in seeded_chains(covered_only=True):
+    for network in seeded_chains(sample=covered_network):
         trace = erf_bottom_up(network)
         for row in check_equivalence(network).erf_rows:
             assert row.oracle_span == trace.values[row.layer]
@@ -203,6 +204,19 @@ def test_criterion_8_exit_codes_and_golden_bytes(tmp_path, capsys, monkeypatch):
     assert main(["verify", CHAIN11]) == 0
     capsys.readouterr()
     print("criterion 8: PASS - exit codes 0/1/2/3 and golden bytes hold")
+
+
+def test_parsing_a_30000_layer_chain_stays_within_budget():
+    # a seeded stride-1 chain like the benchmark's long-topdown input
+    rng = random.Random(1)
+    lines = [
+        f"{rng.choice(('conv', 'pool'))} {rng.randint(1, 5)}x{rng.randint(1, 5)} s1"
+        for _ in range(30000)
+    ]
+    text = "\n".join(["network long"] + lines) + "\n"
+    best = min(_timed(lambda: parse_dsl(text))[0] for _ in range(3))
+    assert len(parse_dsl(text).layers) == 30000
+    assert best < 0.05, f"parse_dsl took {best * 1e3:.1f} ms"
 
 
 def test_full_equivalence_sweep_stays_green():

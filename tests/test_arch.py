@@ -54,7 +54,7 @@ def test_zero_stride_is_an_error():
 
 
 def test_bad_channels_out_is_an_error():
-    layer = LayerSpec(index=1, kind=LayerKind.CONV, filter=(3, 3), stride=(1, 1), channels_out=0)
+    layer = LayerSpec(kind=LayerKind.CONV, filter=(3, 3), stride=(1, 1), channels_out=0)
     report = validate(NetworkSpec(name="", direction=Direction.CONV, layers=(layer,)))
     assert any("channels_out" in msg for _, msg in report.errors)
 
@@ -62,19 +62,6 @@ def test_bad_channels_out_is_an_error():
 def test_empty_network_is_an_error():
     report = validate(NetworkSpec(name="", direction=Direction.CONV, layers=()))
     assert any("no layers" in msg for _, msg in report.errors)
-
-
-def test_index_gap_is_an_error():
-    bad = NetworkSpec(
-        name="",
-        direction=Direction.CONV,
-        layers=(
-            LayerSpec(index=1, kind=LayerKind.CONV, filter=(3, 3), stride=(1, 1)),
-            LayerSpec(index=3, kind=LayerKind.CONV, filter=(3, 3), stride=(1, 1)),
-        ),
-    )
-    report = validate(bad)
-    assert any("1..n" in msg for _, msg in report.errors)
 
 
 def test_require_valid_raises_with_findings():
@@ -96,21 +83,21 @@ def test_validate_is_deterministic_and_clean_on_generated_networks(network):
 
 
 def _chain(*layers):
-    """A chain of hand-built (index, filter, stride, channels_out) layers."""
+    """A chain of hand-built (filter, stride, channels_out) layers."""
     return NetworkSpec(
         name="",
         direction=Direction.CONV,
         layers=tuple(
-            LayerSpec(index=i, kind=LayerKind.CONV, filter=f, stride=s, channels_out=c)
-            for i, f, s, c in layers
+            LayerSpec(kind=LayerKind.CONV, filter=f, stride=s, channels_out=c)
+            for f, s, c in layers
         ),
     )
 
 
 @st.composite
 def hand_built_networks(draw):
-    """Chains with any mix of findings: index gaps, filters and strides of
-    -1..5 per axis, channel counts of None, -1, 0, 1 or 3, and no layers.
+    """Chains with any mix of findings: filters and strides of -1..5 per
+    axis, channel counts of None, -1, 0, 1 or 3, and no layers.
 
     Each axis is clean (filter >= stride >= 1) or drawn from the whole
     range, so a finding on one field often sits in an otherwise clean layer.
@@ -120,22 +107,22 @@ def hand_built_networks(draw):
     clean_axis = st.integers(1, 5).flatmap(lambda s: st.tuples(st.integers(s, 5), st.just(s)))
     axes = clean_axis | st.tuples(sizes, sizes)
     layers = []
-    for position in range(1, n + 1):
+    for _ in range(n):
         (fh, sh), (fw, sw) = draw(axes), draw(axes)
-        index = draw(st.just(position) | st.integers(-1, n + 2))
         channels = draw(st.sampled_from((None, -1, 0, 1, 3)))
-        layers.append((index, (fh, fw), (sh, sw), channels))
+        layers.append(((fh, fw), (sh, sw), channels))
     return _chain(*layers)
 
 
-# One finding in an otherwise clean layer, for each term of the clean-layer test.
+# One finding in an otherwise clean layer, for each term of the clean-layer
+# test; the last sits on layer 2, since a finding carries its position.
 @example(_chain())
-@example(_chain((2, (3, 3), (1, 1), None)))
-@example(_chain((1, (0, 3), (0, 1), None)))
-@example(_chain((1, (3, 3), (1, 0), None)))
-@example(_chain((1, (2, 3), (3, 1), None)))
-@example(_chain((1, (3, 2), (1, 3), None)))
-@example(_chain((1, (3, 3), (1, 1), 0)))
+@example(_chain(((0, 3), (0, 1), None)))
+@example(_chain(((3, 3), (1, 0), None)))
+@example(_chain(((2, 3), (3, 1), None)))
+@example(_chain(((3, 2), (1, 3), None)))
+@example(_chain(((3, 3), (1, 1), 0)))
+@example(_chain(((3, 3), (1, 1), None), ((0, 3), (1, 1), None)))
 @settings(max_examples=300)
 @given(hand_built_networks())
 def test_validate_matches_the_per_axis_reference(network):

@@ -281,9 +281,8 @@ def test_axes_are_independent(network):
 
 
 def concatenate(first: NetworkSpec, second: NetworkSpec) -> NetworkSpec:
-    """first's layers, then second's on top of them, reindexed 1..n."""
-    layers = first.layers + second.layers
-    return replace(first, layers=tuple(replace(layer, index=i) for i, layer in enumerate(layers, 1)))
+    """first's layers, then second's on top of them."""
+    return replace(first, layers=first.layers + second.layers)
 
 
 @given(

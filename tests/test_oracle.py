@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import CHAIN11_ERF, make_network
 from reference import backward_influence, span_and_cardinality
-from strategies import networks
+from strategies import covered_network, networks
 
 import fieldscope.oracle as oracle
 from fieldscope import (
@@ -19,6 +19,7 @@ from fieldscope import (
     pf_counts_oracle,
     pf_size_set,
     random_network,
+    serialize_dsl,
 )
 
 
@@ -176,16 +177,45 @@ class TestSpanBudget:
             check_equivalence(make_network(("conv", (1, 10), 1)))
 
 
+# The first 20 networks of random_network(random.Random(5)), as DSL text.
+SEED_5_STREAM = (
+    "pool 11x9 s1x4\nconv 11x1 s2x1\nconv 7x9 s1x2 c56\npool 5x3 s4x2\nconv 3x10 s4x2 c2\n",
+    "conv 3 s3\nconv 3x4 s4x3 c107\nconv 3x5 s1x3\nconv 10x11 s3x1\n",
+    "pool 6x3 s4\nconv 5x1 s3x4 c108\npool 7x10 s1x4 c47\nconv 2x4 s4x3\npool 8x2 s3 c24\n",
+    "pool 9x10 s3x2\nconv 5x11 s3 c21\nconv 5x8 s2x1 c104\nconv 4x10 s3\n",
+    "conv 1x11 s1x4\nconv 3x10 s2x4 c112\npool 3x1 s4x3 c44\npool 8x6 s4x3\npool 3x2 s4x2\npool 6x3 s1x4\npool 2x6 s1x3\n",
+    "pool 5 s3x2\nconv 8x9 s3\npool 5x9 s3\npool 7x6 s2x4\npool 9x3 s2\n",
+    "pool 2x11 s4x2\npool 5x10 s3x1 c113\nconv 4x11 s2x1\nconv 3x1 s2x1\nconv 8x4 s1x4\npool 11x10 s1x2\npool 1x6 s4x3\nconv 9x6 s1x3 c87\n",
+    "pool 3x7 s4x3\nconv 10x7 s4x2\nconv 6x11 s1x4 c37\npool 11x10 s4\nconv 8x5 s4\n",
+    "pool 5x8 s3x4 c79\npool 5x3 s4x1 c114\nconv 5x1 s2x4 c71\n",
+    "pool 1x4 s4x3\npool 5x8 s4x1 c33\npool 5x9 s3\nconv 8x6 s3x2 c65\n",
+    "conv 11x9 s2x1\npool 10 s4\nconv 5x8 s1x3\npool 10x5 s4x3 c123\npool 6x9 s2x4\nconv 2x4 s3x1\nconv 6x7 s1x4\nconv 2 s2x1\n",
+    "pool 8x3 s2\nconv 2x10 s2x1\npool 2x5 s1\n",
+    "conv 7x2 s3x4\npool 1x3 s3x2\npool 9 s2x3 c61\n",
+    "pool 9x3 s2x3\npool 3 s1x3 c10\nconv 2x9 s4x2\npool 8x6 s1\npool 1x3 s4x2\n",
+    "pool 4x3 s4x3\npool 6x10 s3x4\n",
+    "pool 11x7 s3x1\nconv 3x7 s1 c48\nconv 4x1 s4\npool 1x7 s4x3\npool 6x8 s4x1 c41\nconv 6x7 s4x2\n",
+    "pool 3x5 s2x1\nconv 6 s3x1\n",
+    "pool 3x2 s3\nconv 3x1 s2x1\nconv 10x7 s3 c93\npool 2x8 s2 c54\nconv 11x10 s4x3 c16\npool 11x7 s2x1 c90\nconv 2x4 s4x1\nconv 11x4 s1x4\n",
+    "conv 5x7 s4x3\n",
+    "conv 3x9 s4x2\n",
+)
+
+
 class TestRandomNetwork:
     def test_same_seed_same_stream(self):
         first = [random_network(random.Random(5)) for _ in range(20)]
         second = [random_network(random.Random(5)) for _ in range(20)]
         assert first == second
 
+    def test_the_seeded_stream_is_pinned(self):
+        rng = random.Random(5)
+        assert tuple(serialize_dsl(random_network(rng)) for _ in range(20)) == SEED_5_STREAM
+
     def test_respects_bounds(self):
         rng = random.Random(11)
         for _ in range(200):
-            network = random_network(rng, max_layers=8, max_filter=11, max_stride=4)
+            network = random_network(rng)
             assert 1 <= len(network.layers) <= 8
             for layer in network.layers:
                 assert all(1 <= f <= 11 for f in layer.filter)
@@ -194,7 +224,7 @@ class TestRandomNetwork:
     def test_covered_only_keeps_stride_under_filter(self):
         rng = random.Random(11)
         for _ in range(200):
-            network = random_network(rng, covered_only=True)
+            network = covered_network(rng)
             for layer in network.layers:
                 assert layer.stride[0] <= layer.filter[0]
                 assert layer.stride[1] <= layer.filter[1]

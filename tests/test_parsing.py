@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 import warnings
 
@@ -246,8 +247,12 @@ def _dsl_line(fields):
 dsl_lines = _dsl_line([good for good, _ in DSL_FIELDS]) | _dsl_line(
     [good + bad for good, bad in DSL_FIELDS]
 )
+# Lines come from a small pool, so most texts repeat some line.
 dsl_texts = st.tuples(
-    st.lists(dsl_lines, max_size=6), st.sampled_from(("\n", "\r\n"))
+    st.lists(dsl_lines, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=12)
+    ),
+    st.sampled_from(("\n", "\r\n")),
 ).map(lambda drawn: drawn[1].join(drawn[0]))
 
 
@@ -261,9 +266,22 @@ dsl_texts = st.tuples(
 @example("network n\r\nconv 3 s1\r\npool 2x3 s2 # tail\r\n")
 @example(f"conv {LONG_LITERAL} s1")
 @example("conv 3 s1\ndeconv")
+@example("conv 3 s1\nconv 3 s1 # again\nconv 3 s1  \n  conv 3 s1\tc2\nconv 3 s1")
+@example("conv 3 s1\nnetwork late\nconv 3 s1\ndeconv\nconv 3 s1")
+@example(f"conv {LONG_LITERAL} s1\nconv 3 s1\nconv {LONG_LITERAL} s1")
 def test_layer_line_fast_path_matches_the_tokenizer(text):
     fast = _parse_outcome(text)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(parsing, "_LAYER_LINE", re.compile(r"(?!)"))
         slow = _parse_outcome(text)
     assert fast == slow
+
+
+def test_a_repeated_layer_line_is_one_shared_record():
+    rng = random.Random(7)
+    pool = ["conv 3 s1", "pool 2 s2", "conv 5x3 s1x2 c64", "pool 3 s1  # tail", "conv 1 s1"]
+    text = "\n".join(rng.choice(pool) for _ in range(30000)) + "\n"
+    layers = parse_dsl(text).layers
+    assert len(layers) == 30000
+    assert len({id(layer) for layer in layers}) == len(pool)
+
