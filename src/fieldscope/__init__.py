@@ -17,8 +17,6 @@ from .fields import (
     MAX_FIELD_VALUE,
     ErfTrace,
     FieldOverflowError,
-    PfSizeSet,
-    RfProjection,
     deconv_view,
     erf_bottom_up,
     erf_top_down,
@@ -44,7 +42,6 @@ from .parsing import (
 )
 from .report import (
     AnalysisReport,
-    PfBoundaryRow,
     build_analysis,
     render_analysis_json,
     render_analysis_table,
@@ -71,10 +68,7 @@ __all__ = [
     "NetworkSpec",
     "ParseDiagnostic",
     "ParseError",
-    "PfBoundaryRow",
     "PfCountField",
-    "PfSizeSet",
-    "RfProjection",
     "SpanBudgetError",
     "ValidationReport",
     "build_analysis",

@@ -49,22 +49,6 @@ class ErfTrace:
         return self.values[-1]
 
 
-@dataclass(frozen=True)
-class RfProjection:
-    """Windows a layer-k neuron casts onto layers k, k-1, .., 0, in that order."""
-
-    target_layer: int
-    values: tuple[Pair, ...]
-
-
-@dataclass(frozen=True)
-class PfSizeSet:
-    """Distinct (height, width) projective field sizes across one boundary."""
-
-    sizes: frozenset[Pair]
-    uniform: bool
-
-
 def _erf_1d(filters: list[int], strides: list[int]) -> tuple[list[int], list[int], list[int]]:
     """Bottom-up ERF along one axis: values (n+1), increments, cumulative strides."""
     values = [1]
@@ -133,8 +117,8 @@ def erf_bottom_up(network: NetworkSpec) -> ErfTrace:
     return ErfTrace(values=values, increments=increments, cumulative_strides=cumulative)
 
 
-def rf_top_down(network: NetworkSpec, k: int) -> RfProjection:
-    """Project one layer-k neuron back to the input, one layer per step.
+def rf_top_down(network: NetworkSpec, k: int) -> tuple[Pair, ...]:
+    """Windows one layer-k neuron casts onto layers k, k-1, .., 0, in that order.
 
     Each step widens the current window r to (r - 1) * stride + filter of
     the layer being crossed. The value at layer 0 is the ERF of layer k;
@@ -144,14 +128,13 @@ def rf_top_down(network: NetworkSpec, k: int) -> RfProjection:
     if not 0 <= k <= len(network.layers):
         raise LayerRangeError(f"layer index {k} out of range 0..{len(network.layers)}")
     height, width = axis_chains(network.layers[:k])
-    values = zip(_top_down_1d(*height), _top_down_1d(*width))
-    return RfProjection(target_layer=k, values=tuple(values))
+    return tuple(zip(_top_down_1d(*height), _top_down_1d(*width)))
 
 
 def erf_top_down(network: NetworkSpec) -> tuple[Pair, ...]:
     """Top-down ERF of every layer 0..n, from one affine prefix scan per axis.
 
-    Entry k equals rf_top_down(network, k).values[-1], without the n + 1
+    Entry k equals rf_top_down(network, k)[-1], without the n + 1
     separate projections.
     """
     require_valid(network)
@@ -159,13 +142,14 @@ def erf_top_down(network: NetworkSpec) -> tuple[Pair, ...]:
     return tuple(zip(_erf_top_down_1d(*height), _erf_top_down_1d(*width)))
 
 
-def pf_size_set(network: NetworkSpec, k: int) -> PfSizeSet:
+def pf_size_set(network: NetworkSpec, k: int) -> frozenset[Pair]:
     """Distinct PF sizes of layer-k outputs feeding layer k+1.
 
     Interior positions only (borders are clipped in reality but the chain is
     treated as zero padded). Per axis the count is floor(f/s) or ceil(f/s)
     of the next layer, depending on where the neuron sits in the stride
-    phase; uniform exactly when the stride divides the filter on both axes.
+    phase; one size (uniform) exactly when the stride divides the filter on
+    both axes.
     """
     require_valid(network)
     if k == len(network.layers):
@@ -177,8 +161,7 @@ def pf_size_set(network: NetworkSpec, k: int) -> PfSizeSet:
     nxt = network.layers[k]
     heights = _pf_1d(nxt.filter[0], nxt.stride[0])
     widths = _pf_1d(nxt.filter[1], nxt.stride[1])
-    sizes = frozenset((h, w) for h in heights for w in widths)
-    return PfSizeSet(sizes=sizes, uniform=len(sizes) == 1)
+    return frozenset((h, w) for h in heights for w in widths)
 
 
 def deconv_view(network: NetworkSpec) -> NetworkSpec:

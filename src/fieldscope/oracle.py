@@ -44,8 +44,6 @@ class PfCountField:
     axis counts.
     """
 
-    filter: Pair
-    stride: Pair
     counts_h: dict[int, int]
     counts_w: dict[int, int]
 
@@ -125,8 +123,6 @@ def _coverage_1d(f: int, s: int) -> dict[int, int]:
 def pf_counts_oracle(filter: Pair, stride: Pair) -> PfCountField:
     """Slide next-layer windows along each axis and count coverage."""
     return PfCountField(
-        filter=filter,
-        stride=stride,
         counts_h=_coverage_1d(filter[0], stride[0]),
         counts_w=_coverage_1d(filter[1], stride[1]),
     )
@@ -136,7 +132,6 @@ def pf_counts_oracle(filter: Pair, stride: Pair) -> PfCountField:
 class ErfAgreementRow:
     """Three routes to the same per-layer answer, side by side."""
 
-    layer: int
     bottom_up: Pair
     top_down: Pair
     oracle_span: Pair
@@ -153,7 +148,6 @@ class ErfAgreementRow:
 
 @dataclass(frozen=True)
 class PfAgreementRow:
-    boundary: int
     closed_form: frozenset[Pair]
     oracle: frozenset[Pair]
 
@@ -167,8 +161,8 @@ class EquivalenceReport:
     """Formula-vs-oracle comparison for one network."""
 
     network_name: str
-    erf_rows: tuple[ErfAgreementRow, ...]
-    pf_rows: tuple[PfAgreementRow, ...]
+    erf_rows: tuple[ErfAgreementRow, ...]  # entry k is layer k, input first
+    pf_rows: tuple[PfAgreementRow, ...]  # entry k is boundary k
 
     @property
     def passed(self) -> bool:
@@ -193,21 +187,19 @@ def check_equivalence(network: NetworkSpec) -> EquivalenceReport:
         )
     top_down = fields.erf_top_down(network)
     height, width = axis_chains(network.layers)
-    swept = zip(_influence_1d(*height), _influence_1d(*width))
+    swept = zip(trace.values, top_down, _influence_1d(*height), _influence_1d(*width))
     erf_rows = tuple(
         ErfAgreementRow(
-            layer=k,
-            bottom_up=trace.values[k],
-            top_down=top_down[k],
+            bottom_up=up,
+            top_down=down,
             oracle_span=(h[0], w[0]),
             oracle_cardinality=(h[1], w[1]),
         )
-        for k, (h, w) in enumerate(swept)
+        for up, down, h, w in swept
     )
     pf_rows = tuple(
         PfAgreementRow(
-            boundary=k,
-            closed_form=fields.pf_size_set(network, k).sizes,
+            closed_form=fields.pf_size_set(network, k),
             oracle=pf_counts_oracle(nxt.filter, nxt.stride).size_pairs,
         )
         for k, nxt in enumerate(network.layers)

@@ -21,9 +21,10 @@ sections; scalar filter/stride fill both axes:
     stride = 1              # or [1, 1]
     channels_out = 64       # optional
 
-Unknown manifest keys warn (ManifestWarning) but do not fail. Every hard
-failure raises ParseError carrying positioned diagnostics; no input text
-crashes the parsers.
+A '#' inside a "..." string is text, not a comment; a string left open is
+an error. Unknown manifest keys warn (ManifestWarning) but do not fail.
+Every hard failure raises ParseError carrying positioned diagnostics; no
+input text crashes the parsers.
 """
 
 from __future__ import annotations
@@ -252,6 +253,9 @@ _SECTION = re.compile(r"\[\[\s*([A-Za-z_][A-Za-z0-9_]*)\s*\]\]")
 _INT = re.compile(r"\d+")
 _INT_LIST = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*\]")
 _QUOTED = re.compile(r'"([^"]*)"')
+# A manifest line up to its comment: '#' inside a "..." string is text, and a
+# string left open runs to the end of the line.
+_CONTENT = re.compile(r'[^"#]*(?:"[^"]*"?[^"#]*)*')
 
 _TOP_KEYS = ("name", "direction")
 _LAYER_KEYS = ("kind", "filter", "stride", "channels_out")
@@ -269,7 +273,14 @@ def parse_manifest(text: str) -> NetworkSpec:
     current: dict[str, tuple[str, int, int]] | None = None
 
     for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0]
+        if line.count('"') % 2:  # the '#' sits inside a string, or a string is left open
+            line = _CONTENT.match(raw).group()
+            if line.count('"') % 2:
+                column = line.rfind('"') + 1
+                diagnostics.append(ParseDiagnostic(lineno, column, "unterminated string"))
+                continue
+        line = line.strip()
         if not line:
             continue
         column = len(raw) - len(raw.lstrip()) + 1

@@ -7,48 +7,31 @@ from dataclasses import dataclass
 
 from . import fields, oracle
 from .arch import Direction, NetworkSpec
-from .fields import ErfTrace, Pair, RfProjection
-
-
-@dataclass(frozen=True)
-class PfBoundaryRow:
-    boundary: int
-    sizes: tuple[Pair, ...]  # ascending (h, w)
-    uniform: bool
-    depth: int | None  # channels_out of the layer being fed
+from .fields import ErfTrace, Pair
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
     network: NetworkSpec
     trace: ErfTrace
-    pf: tuple[PfBoundaryRow, ...]
+    pf: tuple[tuple[Pair, ...], ...]  # entry k: boundary k's sizes, ascending (h, w)
 
 
 def build_analysis(network: NetworkSpec) -> AnalysisReport:
     trace = fields.erf_bottom_up(network)
-    pf_rows = []
-    for k in range(len(network.layers)):
-        size_set = fields.pf_size_set(network, k)
-        pf_rows.append(
-            PfBoundaryRow(
-                boundary=k,
-                sizes=tuple(sorted(size_set.sizes)),
-                uniform=size_set.uniform,
-                depth=network.layers[k].channels_out,
-            )
-        )
-    return AnalysisReport(network=network, trace=trace, pf=tuple(pf_rows))
+    pf = tuple(tuple(sorted(fields.pf_size_set(network, k))) for k in range(len(network.layers)))
+    return AnalysisReport(network=network, trace=trace, pf=pf)
 
 
 def _cell(pair: Pair) -> str:
     return f"{pair[0]}x{pair[1]}"
 
 
-def _pf_sizes_cell(row: PfBoundaryRow) -> str:
-    if row.depth is not None:
-        return ", ".join(f"{h}x{w}x{row.depth}" for h, w in row.sizes)
-    return ", ".join(_cell(size) for size in row.sizes)
+def _pf_sizes_cell(sizes: tuple[Pair, ...], depth: int | None) -> str:
+    """depth is channels_out of the layer being fed, when the file gives one."""
+    if depth is not None:
+        return ", ".join(f"{h}x{w}x{depth}" for h, w in sizes)
+    return ", ".join(_cell(size) for size in sizes)
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
@@ -89,8 +72,8 @@ def render_analysis_table(report: AnalysisReport) -> str:
     )
     lines += ["", f"{pf_title} (boundary k feeds layer k+1)"]
     pf_rows = [
-        [str(row.boundary), _pf_sizes_cell(row), "yes" if row.uniform else "no"]
-        for row in report.pf
+        [str(k), _pf_sizes_cell(sizes, layer.channels_out), "yes" if len(sizes) == 1 else "no"]
+        for k, (sizes, layer) in enumerate(zip(report.pf, network.layers))
     ]
     lines += _table(["boundary", "sizes", "uniform"], pf_rows)
     return "\n".join(lines) + "\n"
@@ -115,35 +98,34 @@ def render_analysis_json(report: AnalysisReport) -> str:
         ],
         "pf": [
             {
-                "boundary": row.boundary,
-                "sizes": [list(size) for size in row.sizes],
-                "uniform": row.uniform,
+                "boundary": k,
+                "sizes": [list(size) for size in sizes],
+                "uniform": len(sizes) == 1,
             }
-            for row in report.pf
+            for k, sizes in enumerate(report.pf)
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def render_topdown_table(network: NetworkSpec, projection: RfProjection) -> str:
-    k = projection.target_layer
+def render_topdown_table(network: NetworkSpec, projection: tuple[Pair, ...]) -> str:
+    """projection is rf_top_down's windows, layer k first."""
+    k = len(projection) - 1
     width = max(len("layer"), len(str(k)))  # labels run k..0; rf, the last column, is unpadded
     lines = [
         f"top-down projection of layer {k} (network {network.name or '(unnamed)'})",
         "layer".ljust(width) + "  rf",
     ]
-    lines += [f"{str(k - i).ljust(width)}  {h}x{w}" for i, (h, w) in enumerate(projection.values)]
+    lines += [f"{str(k - i).ljust(width)}  {h}x{w}" for i, (h, w) in enumerate(projection)]
     return "\n".join(lines) + "\n"
 
 
-def render_topdown_json(network: NetworkSpec, projection: RfProjection) -> str:
+def render_topdown_json(network: NetworkSpec, projection: tuple[Pair, ...]) -> str:
+    k = len(projection) - 1
     payload = {
         "name": network.name,
-        "target_layer": projection.target_layer,
-        "values": [
-            {"layer": projection.target_layer - i, "rf": list(pair)}
-            for i, pair in enumerate(projection.values)
-        ],
+        "target_layer": k,
+        "values": [{"layer": k - i, "rf": list(pair)} for i, pair in enumerate(projection)],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -152,34 +134,34 @@ def render_equivalence(report: oracle.EquivalenceReport) -> str:
     lines = [f"equivalence check: {report.network_name or '(unnamed)'}"]
     rows = [
         [
-            str(row.layer),
+            str(layer),
             _cell(row.bottom_up),
             _cell(row.top_down),
             _cell(row.oracle_span),
             _cell(row.oracle_cardinality),
             "ok" if row.matches else "MISMATCH",
         ]
-        for row in report.erf_rows
+        for layer, row in enumerate(report.erf_rows)
     ]
     lines += _table(
         ["layer", "bottom-up", "top-down", "oracle-span", "oracle-card", "match"], rows
     )
-    gapped = [row for row in report.erf_rows if row.has_coverage_gaps]
-    for row in gapped:
-        lines.append(
-            f"note: layer {row.layer} influence has coverage gaps "
-            f"(cardinality {_cell(row.oracle_cardinality)} < span {_cell(row.oracle_span)})"
-        )
+    lines += [
+        f"note: layer {layer} influence has coverage gaps "
+        f"(cardinality {_cell(row.oracle_cardinality)} < span {_cell(row.oracle_span)})"
+        for layer, row in enumerate(report.erf_rows)
+        if row.has_coverage_gaps
+    ]
     if report.pf_rows:
         lines.append("")
         pf_rows = [
             [
-                str(row.boundary),
+                str(boundary),
                 ", ".join(_cell(s) for s in sorted(row.closed_form)),
                 ", ".join(_cell(s) for s in sorted(row.oracle)),
                 "ok" if row.matches else "MISMATCH",
             ]
-            for row in report.pf_rows
+            for boundary, row in enumerate(report.pf_rows)
         ]
         lines += _table(["pf-boundary", "closed-form", "oracle", "match"], pf_rows)
     lines.append("")
@@ -188,13 +170,13 @@ def render_equivalence(report: oracle.EquivalenceReport) -> str:
 
 
 def render_footprint(
-    network: NetworkSpec, projection: RfProjection, max_width: int = 120
+    network: NetworkSpec, projection: tuple[Pair, ...], max_width: int = 120
 ) -> str:
     """One centered bar per layer, widest at the input; numeric fallback when
     the input-level extent exceeds max_width columns."""
-    k = projection.target_layer
-    heights = [pair[0] for pair in projection.values]
-    widths = [pair[1] for pair in projection.values]
+    k = len(projection) - 1
+    heights = [pair[0] for pair in projection]
+    widths = [pair[1] for pair in projection]
     lines = [f"footprint of layer {k}, height axis (network {network.name or '(unnamed)'})"]
     if heights != widths:
         lines.append("note: width axis differs from height axis; drawing heights only")

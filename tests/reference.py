@@ -16,7 +16,7 @@ column padded to its widest cell, each line right-stripped.
 
 from __future__ import annotations
 
-from fieldscope import NetworkSpec, RfProjection, ValidationReport
+from fieldscope import NetworkSpec, ValidationReport
 
 
 def backward_influence(network: NetworkSpec, k: int, axis: int) -> tuple[int, ...]:
@@ -56,10 +56,12 @@ def validate_reference(network: NetworkSpec) -> ValidationReport:
     return ValidationReport(tuple(errors), tuple(warnings))
 
 
-def topdown_table_reference(network: NetworkSpec, projection: RfProjection) -> str:
-    k = projection.target_layer
+def topdown_table_reference(
+    network: NetworkSpec, projection: tuple[tuple[int, int], ...]
+) -> str:
+    k = len(projection) - 1
     rows = [["layer", "rf"]]
-    rows += [[str(k - i), f"{h}x{w}"] for i, (h, w) in enumerate(projection.values)]
+    rows += [[str(k - i), f"{h}x{w}"] for i, (h, w) in enumerate(projection)]
     widths = [max(len(row[column]) for row in rows) for column in range(2)]
     lines = [f"top-down projection of layer {k} (network {network.name or '(unnamed)'})"]
     lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]

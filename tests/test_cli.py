@@ -201,7 +201,6 @@ class TestVerify:
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         broken = ErfAgreementRow(
-            layer=1,
             bottom_up=(3, 3),
             top_down=(3, 3),
             oracle_span=(4, 4),
@@ -216,7 +215,6 @@ class TestVerify:
 
     def test_random_mismatch_exits_1_and_names_the_trial(self, capsys, monkeypatch):
         broken = ErfAgreementRow(
-            layer=0,
             bottom_up=(1, 1),
             top_down=(1, 1),
             oracle_span=(2, 2),

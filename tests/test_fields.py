@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -17,11 +18,13 @@ from fieldscope import (
     LayerRangeError,
     MAX_FIELD_VALUE,
     NetworkSpec,
+    build_analysis,
     check_equivalence,
     deconv_view,
     erf_bottom_up,
     erf_top_down,
     pf_size_set,
+    render_analysis_json,
     rf_top_down,
 )
 
@@ -84,16 +87,16 @@ class TestErfBottomUp:
 class TestRfTopDown:
     def test_fixture_projection_matches_pinned_values(self, chain11):
         projection = rf_top_down(chain11, 11)
-        assert heights(projection.values) == CHAIN11_TOPDOWN
-        assert projection.values[-1] == (400, 400)
-        assert projection.values[0] == (1, 1)
+        assert heights(projection) == CHAIN11_TOPDOWN
+        assert projection[-1] == (400, 400)
+        assert projection[0] == (1, 1)
 
     def test_projection_onto_itself(self, chain11):
-        assert rf_top_down(chain11, 0).values == ((1, 1),)
+        assert rf_top_down(chain11, 0) == ((1, 1),)
 
     def test_stride_two_pools_double_each_step(self):
         network = make_network(("pool", 2, 2), ("pool", 2, 2))
-        assert heights(rf_top_down(network, 2).values) == [1, 2, 4]
+        assert heights(rf_top_down(network, 2)) == [1, 2, 4]
 
     def test_out_of_range(self, chain11):
         with pytest.raises(LayerRangeError):
@@ -116,24 +119,24 @@ class TestPfSizeSet:
     def test_overlapping_windows_give_four_sizes(self):
         network = make_network(("conv", 5, 2), ("conv", 5, 2))
         result = pf_size_set(network, 0)
-        assert result.sizes == {(2, 2), (2, 3), (3, 2), (3, 3)}
-        assert not result.uniform
+        assert result == {(2, 2), (2, 3), (3, 2), (3, 3)}
+        assert len(result) != 1
 
     def test_stride_one_gives_filter_sized_projection(self):
         result = pf_size_set(make_network(("conv", 3, 1)), 0)
-        assert result.sizes == {(3, 3)}
-        assert result.uniform
+        assert result == {(3, 3)}
+        assert len(result) == 1
 
     def test_partitioning_windows(self):
         result = pf_size_set(make_network(("pool", 2, 2)), 0)
-        assert result.sizes == {(1, 1)}
-        assert result.uniform
+        assert result == {(1, 1)}
+        assert len(result) == 1
 
     def test_divisible_overlap(self):
         # verified against the sliding-count oracle in test_oracle
         result = pf_size_set(make_network(("conv", 4, 2)), 0)
-        assert result.sizes == {(2, 2)}
-        assert result.uniform
+        assert result == {(2, 2)}
+        assert len(result) == 1
 
     def test_no_successor_layer(self, chain11):
         with pytest.raises(LayerRangeError, match="no successor"):
@@ -186,12 +189,12 @@ def test_overlap_subtraction_equals_stride_form(r, f, s):
 def test_bottom_up_and_top_down_agree_everywhere(network):
     trace = erf_bottom_up(network)
     for k in range(len(network.layers) + 1):
-        assert rf_top_down(network, k).values[-1] == trace.values[k]
+        assert rf_top_down(network, k)[-1] == trace.values[k]
 
 
 @given(networks())
 def test_scan_matches_every_per_layer_projection(network):
-    expected = tuple(rf_top_down(network, k).values[-1] for k in range(len(network.layers) + 1))
+    expected = tuple(rf_top_down(network, k)[-1] for k in range(len(network.layers) + 1))
     assert erf_top_down(network) == expected
 
 
@@ -258,12 +261,17 @@ def test_stride_one_chains_sum_their_filters(network):
 
 @given(networks())
 def test_pf_size_set_cardinality_tracks_divisibility(network):
-    for k, layer in enumerate(network.layers):
+    # the JSON report derives each boundary's number and uniform flag on its own
+    rows = json.loads(render_analysis_json(build_analysis(network)))["pf"]
+    assert len(rows) == len(network.layers)
+    for k, (layer, row) in enumerate(zip(network.layers, rows)):
         result = pf_size_set(network, k)
         divisible = [layer.filter[a] % layer.stride[a] == 0 for a in (0, 1)]
-        assert len(result.sizes) == {2: 1, 1: 2, 0: 4}[sum(divisible)]
-        assert result.uniform == all(divisible)
-        assert result.uniform == (len(result.sizes) == 1)
+        assert len(result) == {2: 1, 1: 2, 0: 4}[sum(divisible)]
+        assert (len(result) == 1) == all(divisible)
+        assert row["boundary"] == k
+        assert row["uniform"] == all(divisible)
+        assert row["sizes"] == [list(size) for size in sorted(result)]
 
 
 @given(networks())
@@ -299,6 +307,6 @@ def test_concatenation_law_holds_on_every_route(first, second):
     )
     top = len(joined.layers)
     assert erf_bottom_up(joined).final == expected
-    assert rf_top_down(joined, top).values[-1] == expected
+    assert rf_top_down(joined, top)[-1] == expected
     assert erf_top_down(joined)[top] == expected
     assert check_equivalence(joined).erf_rows[top].oracle_span == expected

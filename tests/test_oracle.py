@@ -115,8 +115,8 @@ class TestPfCountsOracle:
 
 @given(networks(max_layers=4, max_filter=11, max_stride=3))
 def test_sweep_matches_naive_expansion(network):
-    for row in check_equivalence(network).erf_rows:
-        naive = [span_and_cardinality(network, row.layer, axis) for axis in (0, 1)]
+    for layer, row in enumerate(check_equivalence(network).erf_rows):
+        naive = [span_and_cardinality(network, layer, axis) for axis in (0, 1)]
         assert row.oracle_span == (naive[0][0], naive[1][0])
         assert row.oracle_cardinality == (naive[0][1], naive[1][1])
 
@@ -157,7 +157,7 @@ class TestCheckEquivalence:
         assert report.erf_rows[2].has_coverage_gaps
         # boundary 0 pairs stride 3 against filter 2: one offset in three is
         # covered by no window, and the closed form's floor(2/3) = 0 says so
-        assert [row.boundary for row in report.pf_rows] == [0, 1]
+        assert len(report.pf_rows) == 2
         assert report.pf_rows[0].closed_form == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert report.pf_rows[0].matches
 
@@ -234,4 +234,4 @@ def test_pf_closed_form_matches_counts_for_fixture(chain11):
     for k in range(11):
         nxt = chain11.layers[k]
         field = pf_counts_oracle(nxt.filter, nxt.stride)
-        assert pf_size_set(chain11, k).sizes == field.size_pairs
+        assert pf_size_set(chain11, k) == field.size_pairs

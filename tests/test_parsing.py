@@ -22,6 +22,7 @@ from fieldscope import (
     parse_manifest,
     serialize_dsl,
 )
+from fieldscope.cli import main
 
 
 class TestParseDsl:
@@ -149,6 +150,36 @@ class TestParseManifest:
         manifest = "[[layer]]\nkind = conv\nkind = pool\nfilter = 3\nstride = 1\n"
         with pytest.raises(ParseError, match="duplicate key"):
             parse_manifest(manifest)
+
+    def test_hash_inside_a_string_is_not_a_comment(self):
+        manifest = 'name = "net#1"  # trailing\n[[layer]]\nkind = "conv" # "c\nfilter = 3\nstride = 1\n'
+        network = parse_manifest(manifest)
+        assert network.name == "net#1"
+        assert network.layers == parse_dsl("conv 3 s1").layers
+
+    @pytest.mark.parametrize(
+        "first, column",
+        [('name = "net', 8), ('name = "net # tail', 8), ('name = "a" "b', 12)],
+    )
+    def test_unterminated_string_is_a_positioned_error(self, first, column):
+        manifest = first + "\n[[layer]]\nkind = conv\nfilter = 3\nstride = 1\n"
+        with pytest.raises(ParseError) as excinfo:
+            parse_manifest(manifest)
+        (diagnostic,) = excinfo.value.diagnostics
+        assert (diagnostic.line, diagnostic.column) == (1, column)
+        assert diagnostic.message == "unterminated string"
+
+    def test_cli_prints_a_quoted_hash_and_exits_2_on_an_open_string(self, tmp_path, capsys):
+        layer = "\n[[layer]]\nkind = conv\nfilter = 3\nstride = 1\n"
+        path = tmp_path / "net.toml"
+        path.write_text('name = "net#1"' + layer)
+        assert main(["analyze", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("network net#1 (conv)\n")
+        path.write_text('name = "net' + layer)
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fieldscope: error: line 1, column 8: unterminated string\n"
 
 
 class TestSerializeDsl:

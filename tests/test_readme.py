@@ -1,0 +1,29 @@
+"""The README's library example gives each call's value in a trailing
+comment; run the block and hold every call to it."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_example() -> list[str]:
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1).splitlines()
+
+
+def test_each_library_call_equals_its_comment():
+    namespace: dict = {}
+    checked = 0
+    for line in library_example():
+        code, _, comment = line.partition("#")
+        if not comment:
+            exec(line, namespace)
+            continue
+        # the value is the comment's text before any ':' gloss
+        expected = comment.split(":", 1)[0]
+        assert eval(code, namespace) == eval(expected, namespace), line
+        checked += 1
+    assert checked == 6
