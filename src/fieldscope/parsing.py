@@ -257,6 +257,10 @@ _QUOTED = re.compile(r'"([^"]*)"')
 # string left open runs to the end of the line.
 _CONTENT = re.compile(r'[^"#]*(?:"[^"]*"?[^"#]*)*')
 
+# A manifest value with the line and column of its key; None marks a value
+# already reported as an unterminated string.
+_Entry = tuple[str | None, int, int]
+
 _TOP_KEYS = ("name", "direction")
 _LAYER_KEYS = ("kind", "filter", "stride", "channels_out")
 
@@ -268,23 +272,22 @@ def parse_manifest(text: str) -> NetworkSpec:
     ManifestWarning.
     """
     diagnostics: list[ParseDiagnostic] = []
-    top: dict[str, tuple[str, int, int]] = {}
-    sections: list[tuple[int, dict[str, tuple[str, int, int]]]] = []
-    current: dict[str, tuple[str, int, int]] | None = None
+    top: dict[str, _Entry] = {}
+    sections: list[tuple[int, dict[str, _Entry]]] = []
+    current: dict[str, _Entry] | None = None
 
     for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.split("#", 1)[0]
-        if line.count('"') % 2:  # the '#' sits inside a string, or a string is left open
-            line = _CONTENT.match(raw).group()
-            if line.count('"') % 2:
-                column = line.rfind('"') + 1
-                diagnostics.append(ParseDiagnostic(lineno, column, "unterminated string"))
-                continue
-        line = line.strip()
+        content = _CONTENT.match(raw).group()
+        line = content.strip()
         if not line:
             continue
         column = len(raw) - len(raw.lstrip()) + 1
-        if line.startswith("["):
+        unterminated = content.count('"') % 2
+        if unterminated:
+            diagnostics.append(
+                ParseDiagnostic(lineno, content.rfind('"') + 1, "unterminated string")
+            )
+        if line.startswith("[") and not unterminated:
             section = _SECTION.fullmatch(line)
             if section is None:
                 diagnostics.append(
@@ -300,11 +303,14 @@ def parse_manifest(text: str) -> NetworkSpec:
             continue
         pair = _KEY_VALUE.fullmatch(line)
         if pair is None:
-            diagnostics.append(
-                ParseDiagnostic(lineno, column, "expected 'key = value' or [[layer]]")
-            )
+            if not unterminated:
+                diagnostics.append(
+                    ParseDiagnostic(lineno, column, "expected 'key = value' or [[layer]]")
+                )
             continue
-        key, value = pair.group(1), pair.group(2).strip()
+        # An unterminated value is kept as None, already reported, so the key
+        # still counts as present and no second error follows from it.
+        key, value = pair.group(1), None if unterminated else pair.group(2).strip()
         known = _LAYER_KEYS if current is not None else _TOP_KEYS
         scope = current if current is not None else top
         if key not in known:
@@ -319,8 +325,8 @@ def parse_manifest(text: str) -> NetworkSpec:
 
     name = _string_value(top.get("name"), default="")
     direction = Direction.CONV
-    if "direction" in top:
-        value, lineno, column = top["direction"]
+    value, lineno, column = top.get("direction", (None, 0, 0))
+    if value is not None:
         label = _unquote(value)
         if label in ("conv", "deconv"):
             direction = Direction(label)
@@ -349,8 +355,8 @@ def _unquote(value: str) -> str:
     return quoted.group(1) if quoted else value
 
 
-def _string_value(entry: tuple[str, int, int] | None, default: str) -> str:
-    if entry is None:
+def _string_value(entry: _Entry | None, default: str) -> str:
+    if entry is None or entry[0] is None:
         return default
     return _unquote(entry[0])
 
@@ -358,7 +364,7 @@ def _string_value(entry: tuple[str, int, int] | None, default: str) -> str:
 def _build_manifest_layer(
     position: int,
     header_line: int,
-    keys: dict[str, tuple[str, int, int]],
+    keys: dict[str, _Entry],
     diagnostics: list[ParseDiagnostic],
 ) -> LayerSpec | None:
     bad = False
@@ -368,7 +374,7 @@ def _build_manifest_layer(
                 ParseDiagnostic(header_line, 1, f"layer {position} is missing key {required!r}")
             )
             bad = True
-    if bad:
+    if bad or any(value is None for value, _, _ in keys.values()):
         return None
 
     kind_text, kind_line, kind_col = keys["kind"]

@@ -158,15 +158,22 @@ class TestParseManifest:
         assert network.layers == parse_dsl("conv 3 s1").layers
 
     @pytest.mark.parametrize(
-        "first, column",
-        [('name = "net', 8), ('name = "net # tail', 8), ('name = "a" "b', 12)],
+        "top, kind, line, column",
+        [
+            ('name = "net', "conv", 1, 8),
+            ('name = "net # tail', "conv", 1, 8),
+            ('name = "a" "b', "conv", 1, 12),
+            ('direction = "deconv', "conv", 1, 13),
+            ("", '"conv', 3, 8),
+            ("", '"conv  # tail', 3, 8),
+        ],
     )
-    def test_unterminated_string_is_a_positioned_error(self, first, column):
-        manifest = first + "\n[[layer]]\nkind = conv\nfilter = 3\nstride = 1\n"
+    def test_unterminated_string_is_a_positioned_error(self, top, kind, line, column):
+        manifest = f"{top}\n[[layer]]\nkind = {kind}\nfilter = 3\nstride = 1\n"
         with pytest.raises(ParseError) as excinfo:
             parse_manifest(manifest)
         (diagnostic,) = excinfo.value.diagnostics
-        assert (diagnostic.line, diagnostic.column) == (1, column)
+        assert (diagnostic.line, diagnostic.column) == (line, column)
         assert diagnostic.message == "unterminated string"
 
     def test_cli_prints_a_quoted_hash_and_exits_2_on_an_open_string(self, tmp_path, capsys):
