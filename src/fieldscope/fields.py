@@ -107,6 +107,13 @@ def _pf_1d(f: int, s: int) -> set[int]:
     return {f // s, -(-f // s)}
 
 
+def _pf_2d(filter: Pair, stride: Pair) -> frozenset[Pair]:
+    """PF sizes of one next layer as (height, width) pairs: the product of its axis sets."""
+    heights = _pf_1d(filter[0], stride[0])
+    widths = _pf_1d(filter[1], stride[1])
+    return frozenset((h, w) for h in heights for w in widths)
+
+
 def erf_bottom_up(network: NetworkSpec) -> ErfTrace:
     """Compute the ERF of every layer in a single forward sweep."""
     require_valid(network)
@@ -159,9 +166,7 @@ def pf_size_set(network: NetworkSpec, k: int) -> frozenset[Pair]:
             f"layer index {k} out of range 0..{len(network.layers) - 1}"
         )
     nxt = network.layers[k]
-    heights = _pf_1d(nxt.filter[0], nxt.stride[0])
-    widths = _pf_1d(nxt.filter[1], nxt.stride[1])
-    return frozenset((h, w) for h in heights for w in widths)
+    return _pf_2d(nxt.filter, nxt.stride)
 
 
 def deconv_view(network: NetworkSpec) -> NetworkSpec:

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from . import fields
-from .arch import Direction, LayerKind, LayerSpec, NetworkSpec, axis_chains
+from .arch import Direction, LayerKind, LayerSpec, NetworkSpec, axis_chains, require_valid
 from .fields import Pair
 
 # Widest influence bitset the oracle builds, in bits (32 MiB per int).
@@ -175,34 +175,43 @@ def check_equivalence(network: NetworkSpec) -> EquivalenceReport:
     """Compare bottom-up, top-down, and oracle answers for every layer, and
     closed-form against counted PF sizes for every boundary.
 
+    Validates once (InvalidNetworkError) and splits the axes once: the
+    closed forms come from fields.py's private 1-D cores, not from the
+    public calculators, each of which would validate the chain again.
     Raises SpanBudgetError, before the oracle allocates anything, when the
     ERF exceeds SPAN_BUDGET bits on either axis.
     """
-    # erf_bottom_up validates first, raising InvalidNetworkError.
-    trace = fields.erf_bottom_up(network)
-    if max(trace.final) > SPAN_BUDGET:
+    require_valid(network)
+    height, width = axis_chains(network.layers)
+    up_h, up_w = fields._erf_1d(*height)[0], fields._erf_1d(*width)[0]
+    if max(up_h[-1], up_w[-1]) > SPAN_BUDGET:
         raise SpanBudgetError(
-            f"influence span {trace.final[0]}x{trace.final[1]} exceeds the "
+            f"influence span {up_h[-1]}x{up_w[-1]} exceeds the "
             f"{SPAN_BUDGET}-bit oracle budget: too large to enumerate"
         )
-    top_down = fields.erf_top_down(network)
-    height, width = axis_chains(network.layers)
-    swept = zip(trace.values, top_down, _influence_1d(*height), _influence_1d(*width))
+    down_h, down_w = fields._erf_top_down_1d(*height), fields._erf_top_down_1d(*width)
+    # The sweep is the one step whose cost follows span bits; when both axes
+    # are the same chain, as in every square-kernel network, they are wired
+    # alike, so the height measures serve the width axis too.
+    swept_h = _influence_1d(*height)
+    swept_w = swept_h if width == height else _influence_1d(*width)
     erf_rows = tuple(
         ErfAgreementRow(
-            bottom_up=up,
-            top_down=down,
-            oracle_span=(h[0], w[0]),
-            oracle_cardinality=(h[1], w[1]),
+            bottom_up=(uh, uw),
+            top_down=(dh, dw),
+            oracle_span=(sh, sw),
+            oracle_cardinality=(ch, cw),
         )
-        for up, down, h, w in swept
+        for uh, uw, dh, dw, (sh, ch), (sw, cw) in zip(
+            up_h, up_w, down_h, down_w, swept_h, swept_w
+        )
     )
     pf_rows = tuple(
         PfAgreementRow(
-            closed_form=fields.pf_size_set(network, k),
+            closed_form=fields._pf_2d(nxt.filter, nxt.stride),
             oracle=pf_counts_oracle(nxt.filter, nxt.stride).size_pairs,
         )
-        for k, nxt in enumerate(network.layers)
+        for nxt in network.layers
     )
     return EquivalenceReport(network_name=network.name, erf_rows=erf_rows, pf_rows=pf_rows)
 

@@ -21,10 +21,11 @@ sections; scalar filter/stride fill both axes:
     stride = 1              # or [1, 1]
     channels_out = 64       # optional
 
-A '#' inside a "..." string is text, not a comment; a string left open is
-an error. Unknown manifest keys warn (ManifestWarning) but do not fail.
-Every hard failure raises ParseError carrying positioned diagnostics; no
-input text crashes the parsers.
+A '#' inside a "..." string is text, not a comment; a string left open, or
+a value that opens a string and goes on past its close, is an error.
+Unknown manifest keys warn (ManifestWarning) but do not fail. Every hard
+failure raises ParseError carrying positioned diagnostics; no input text
+crashes the parsers.
 """
 
 from __future__ import annotations
@@ -323,7 +324,16 @@ def parse_manifest(text: str) -> NetworkSpec:
             continue
         scope[key] = (value, lineno, column)
 
-    name = _string_value(top.get("name"), default="")
+    name = ""
+    value, lineno, column = top.get("name", (None, 0, 0))
+    if value is not None:
+        # An unquoted name is taken as is; one that opens a string must be
+        # exactly that string, or trailing text would become part of it.
+        if value.startswith('"') and _QUOTED.fullmatch(value) is None:
+            diagnostics.append(
+                ParseDiagnostic(lineno, column, f"name must be one quoted string, got {value!r}")
+            )
+        name = _unquote(value)
     direction = Direction.CONV
     value, lineno, column = top.get("direction", (None, 0, 0))
     if value is not None:
@@ -353,12 +363,6 @@ def parse_manifest(text: str) -> NetworkSpec:
 def _unquote(value: str) -> str:
     quoted = _QUOTED.fullmatch(value)
     return quoted.group(1) if quoted else value
-
-
-def _string_value(entry: _Entry | None, default: str) -> str:
-    if entry is None or entry[0] is None:
-        return default
-    return _unquote(entry[0])
 
 
 def _build_manifest_layer(

@@ -218,6 +218,18 @@ def test_parsing_a_30000_layer_chain_stays_within_budget():
     assert best < 0.05, f"parse_dsl took {best * 1e3:.1f} ms"
 
 
+def test_verify_on_a_30000_layer_chain_stays_within_budget(tmp_path, capsys):
+    # one validation and one sweep per distinct axis keep verify linear in
+    # depth; validating per boundary took minutes on this file
+    path = tmp_path / "deep.net"
+    path.write_text("conv 3 s1\n" * 30000)
+    elapsed, code = _timed(lambda: main(["verify", str(path)]))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.endswith("overall: PASS\n")
+    assert elapsed < 5.0, f"verify took {elapsed:.2f} s"
+
+
 def test_full_equivalence_sweep_stays_green():
     # not a numbered requirement on its own, but the cheapest whole-system
     # smoke check: every route through the code agrees on fresh networks

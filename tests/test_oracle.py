@@ -2,20 +2,24 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import CHAIN11_ERF, make_network
+from conftest import CHAIN11_ERF, DATA, make_network
 from reference import backward_influence, span_and_cardinality
 from strategies import covered_network, networks
 
+import fieldscope.arch as arch
+import fieldscope.cli as cli
 import fieldscope.oracle as oracle
 from fieldscope import (
     SpanBudgetError,
     check_equivalence,
     erf_bottom_up,
+    erf_top_down,
     pf_counts_oracle,
     pf_size_set,
     random_network,
@@ -160,6 +164,76 @@ class TestCheckEquivalence:
         assert len(report.pf_rows) == 2
         assert report.pf_rows[0].closed_form == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert report.pf_rows[0].matches
+
+
+class TestWorkCounts:
+    """check_equivalence validates once and sweeps each distinct axis chain once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, function):
+            def counting(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return counting
+
+        monkeypatch.setattr(arch, "validate", counted("validate", arch.validate))
+        monkeypatch.setattr(cli, "validate", counted("validate", cli.validate))
+        monkeypatch.setattr(oracle, "_influence_1d", counted("sweep", oracle._influence_1d))
+        return calls
+
+    def test_a_square_chain_is_validated_once_and_swept_once(self, chain11, calls):
+        assert check_equivalence(chain11).passed
+        assert calls == {"validate": 1, "sweep": 1}
+
+    def test_unequal_axes_are_swept_one_each(self, calls):
+        network = make_network(("conv", 3, 1), ("pool", (2, 3), (2, 1)))
+        assert check_equivalence(network).passed
+        assert calls == {"validate": 1, "sweep": 2}
+
+    def test_verify_validates_at_load_and_in_the_calculator_only(self, calls, capsys):
+        assert cli.main(["verify", str(DATA / "chain11.net")]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+        assert calls == {"validate": 2, "sweep": 1}
+
+
+@given(networks())
+def test_verify_compares_what_the_public_calculators_print(network):
+    report = check_equivalence(network)
+    bottom_up = erf_bottom_up(network).values
+    top_down = erf_top_down(network)
+    assert len(report.erf_rows) == len(bottom_up) == len(top_down)
+    for k, row in enumerate(report.erf_rows):
+        assert row.bottom_up == bottom_up[k]
+        assert row.top_down == top_down[k]
+    assert len(report.pf_rows) == len(network.layers)
+    for k, row in enumerate(report.pf_rows):
+        assert row.closed_form == pf_size_set(network, k)
+
+
+def _transposed(network):
+    layers = tuple(
+        replace(layer, filter=layer.filter[::-1], stride=layer.stride[::-1])
+        for layer in network.layers
+    )
+    return replace(network, layers=layers)
+
+
+@given(networks())
+def test_transposing_every_layer_transposes_every_row(network):
+    # guards the sweep reuse on square chains: reading the width column
+    # from the height sweep when the axes differ breaks the symmetry
+    report, flipped = check_equivalence(network), check_equivalence(_transposed(network))
+    assert [astuple(row) for row in flipped.erf_rows] == [
+        tuple(pair[::-1] for pair in astuple(row)) for row in report.erf_rows
+    ]
+    assert [(row.closed_form, row.oracle) for row in flipped.pf_rows] == [
+        ({p[::-1] for p in row.closed_form}, {p[::-1] for p in row.oracle})
+        for row in report.pf_rows
+    ]
 
 
 class TestSpanBudget:

@@ -176,6 +176,25 @@ class TestParseManifest:
         assert (diagnostic.line, diagnostic.column) == (line, column)
         assert diagnostic.message == "unterminated string"
 
+    @pytest.mark.parametrize("value", ['"a" x', '"a""b"', '"a" "b"'])
+    def test_a_name_that_opens_a_string_must_be_exactly_that_string(self, value, tmp_path, capsys):
+        manifest = f"name = {value}\n[[layer]]\nkind = conv\nfilter = 3\nstride = 1\n"
+        with pytest.raises(ParseError) as excinfo:
+            parse_manifest(manifest)
+        (diagnostic,) = excinfo.value.diagnostics
+        assert (diagnostic.line, diagnostic.column) == (1, 1)
+        assert diagnostic.message == f"name must be one quoted string, got {value!r}"
+        path = tmp_path / "net.toml"
+        path.write_text(manifest)
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fieldscope: error: {diagnostic}\n"
+
+    def test_an_unquoted_name_is_still_accepted(self):
+        manifest = "name = chain11\n[[layer]]\nkind = conv\nfilter = 3\nstride = 1\n"
+        assert parse_manifest(manifest).name == "chain11"
+
     def test_cli_prints_a_quoted_hash_and_exits_2_on_an_open_string(self, tmp_path, capsys):
         layer = "\n[[layer]]\nkind = conv\nfilter = 3\nstride = 1\n"
         path = tmp_path / "net.toml"
