@@ -6,9 +6,8 @@ LayerSpec; explicit layers are numbered 1..n by their position in the chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 AXIS_NAMES = ("height", "width")
 
@@ -26,8 +25,42 @@ class Direction(Enum):
     DECONV = "deconv"
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+_set_field = object.__setattr__
+
+
+class _Value:
+    """An immutable record whose fields are its __slots__: equal and hashed
+    by value, with a repr that names every field. Subclasses set their
+    fields in __init__ through _set_field, since plain assignment raises."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class LayerSpec(_Value):
     """One layer of the chain.
 
     filter and stride are (height, width) pairs in pixels. channels_out is
@@ -36,23 +69,35 @@ class LayerSpec:
     one immutable record can stand for every repeat of the same layer.
     """
 
-    kind: LayerKind
-    filter: tuple[int, int]
-    stride: tuple[int, int]
-    channels_out: int | None = None
+    # Slots, not a NamedTuple: validate() reads these fields for every layer,
+    # and a slot read is faster than a tuple field's descriptor.
+    __slots__ = ("kind", "filter", "stride", "channels_out")
+
+    def __init__(
+        self,
+        kind: LayerKind,
+        filter: tuple[int, int],
+        stride: tuple[int, int],
+        channels_out: int | None = None,
+    ) -> None:
+        _set_field(self, "kind", kind)
+        _set_field(self, "filter", filter)
+        _set_field(self, "stride", stride)
+        _set_field(self, "channels_out", channels_out)
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(_Value):
     """Ordered layer chain plus metadata."""
 
-    name: str
-    direction: Direction
-    layers: tuple[LayerSpec, ...]
+    __slots__ = ("name", "direction", "layers")
+
+    def __init__(self, name: str, direction: Direction, layers: tuple[LayerSpec, ...]) -> None:
+        _set_field(self, "name", name)
+        _set_field(self, "direction", direction)
+        _set_field(self, "layers", layers)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Findings from validate(): (layer position, message) pairs."""
 
     errors: tuple[tuple[int, str], ...]

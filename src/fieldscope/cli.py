@@ -1,17 +1,18 @@
 """fieldscope command line interface.
 
 Exit codes: 0 success or verification pass, 1 verification mismatch,
-2 input/parse/usage error or a network too large for the oracle,
-3 arithmetic overflow.
+2 input/parse/usage error, a network too large for the oracle, or output
+to a pipe whose reader has gone, 3 arithmetic overflow.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import warnings
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from . import report
 from .arch import InvalidNetworkError, LayerRangeError, NetworkSpec, validate
@@ -29,7 +30,18 @@ MAX_BAR_WIDTH = 1000
 
 
 def _fail(message: str) -> None:
-    print(f"fieldscope: {message}", file=sys.stderr)
+    try:
+        print(f"fieldscope: {message}", file=sys.stderr)
+    except BrokenPipeError:
+        _discard(sys.stderr)  # nobody reads stderr any more; the exit code still tells
+
+
+def _discard(stream: TextIO) -> None:
+    """Point a stream whose reader has gone at os.devnull, so that the
+    interpreter's flush at exit cannot fail and turn the exit code into 120."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 def _load_checked(path: str) -> NetworkSpec:
@@ -166,7 +178,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.random and args.trials < 1:
             parser.error("--trials must be >= 1")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone raises here, not at exit
+        return code
     except ParseError as exc:
         for diagnostic in exc.diagnostics:
             if diagnostic.severity == "error":
@@ -181,6 +195,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         _fail(f"error: {exc}")
         return EXIT_OVERFLOW
     except SpanBudgetError as exc:
+        _fail(f"error: {exc}")
+        return EXIT_INPUT
+    except BrokenPipeError as exc:
+        # stdout's reader has gone: every stderr write goes through _fail
+        _discard(sys.stdout)
         _fail(f"error: {exc}")
         return EXIT_INPUT
     except OSError as exc:

@@ -17,7 +17,7 @@ then the width axis, and zip the two results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .arch import Direction, NetworkSpec, LayerRangeError, axis_chains, require_valid
 
@@ -32,8 +32,7 @@ class FieldOverflowError(OverflowError):
     """A field value or cumulative stride exceeded MAX_FIELD_VALUE."""
 
 
-@dataclass(frozen=True)
-class ErfTrace:
+class ErfTrace(NamedTuple):
     """Per-layer ERF results from one forward sweep.
 
     values has n+1 entries (input layer 0 first), increments and
@@ -178,4 +177,4 @@ def deconv_view(network: NetworkSpec) -> NetworkSpec:
     """
     require_valid(network)
     flipped = Direction.DECONV if network.direction is Direction.CONV else Direction.CONV
-    return replace(network, direction=flipped)
+    return NetworkSpec(network.name, flipped, network.layers)

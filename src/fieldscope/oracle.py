@@ -20,7 +20,7 @@ anything, raising SpanBudgetError.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fields
 from .arch import Direction, LayerKind, LayerSpec, NetworkSpec, axis_chains, require_valid
@@ -34,8 +34,7 @@ class SpanBudgetError(ValueError):
     """A network's influence span exceeds SPAN_BUDGET bits on some axis."""
 
 
-@dataclass(frozen=True)
-class PfCountField:
+class PfCountField(NamedTuple):
     """Window-coverage counts over one stride period of interior positions.
 
     counts_h maps each coverage count to the number of interior offsets x
@@ -128,8 +127,7 @@ def pf_counts_oracle(filter: Pair, stride: Pair) -> PfCountField:
     )
 
 
-@dataclass(frozen=True)
-class ErfAgreementRow:
+class ErfAgreementRow(NamedTuple):
     """Three routes to the same per-layer answer, side by side."""
 
     bottom_up: Pair
@@ -146,8 +144,7 @@ class ErfAgreementRow:
         return self.oracle_cardinality != self.oracle_span
 
 
-@dataclass(frozen=True)
-class PfAgreementRow:
+class PfAgreementRow(NamedTuple):
     closed_form: frozenset[Pair]
     oracle: frozenset[Pair]
 
@@ -156,8 +153,7 @@ class PfAgreementRow:
         return self.closed_form == self.oracle
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Formula-vs-oracle comparison for one network."""
 
     network_name: str

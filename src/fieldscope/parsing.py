@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .arch import Direction, LayerKind, LayerSpec, NetworkSpec, require_valid
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     line: int
     column: int
     message: str

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fields, oracle
 from .arch import Direction, NetworkSpec
 from .fields import ErfTrace, Pair
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     network: NetworkSpec
     trace: ErfTrace
     pf: tuple[tuple[Pair, ...], ...]  # entry k: boundary k's sizes, ascending (h, w)
@@ -80,6 +78,8 @@ def render_analysis_table(report: AnalysisReport) -> str:
 
 
 def render_analysis_json(report: AnalysisReport) -> str:
+    import json  # only the JSON renderers need it, so start-up skips it
+
     network = report.network
     payload = {
         "name": network.name,
@@ -121,6 +121,8 @@ def render_topdown_table(network: NetworkSpec, projection: tuple[Pair, ...]) -> 
 
 
 def render_topdown_json(network: NetworkSpec, projection: tuple[Pair, ...]) -> str:
+    import json
+
     k = len(projection) - 1
     payload = {
         "name": network.name,

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -128,3 +131,73 @@ def hand_built_networks(draw):
 def test_validate_matches_the_per_axis_reference(network):
     # compares errors, warnings and their order
     assert validate(network) == validate_reference(network)
+
+
+
+# LayerSpec and NetworkSpec are immutable values.
+POOL_LAYER = LayerSpec(LayerKind.POOL, (2, 3), (2, 1), 64)
+TINY = NetworkSpec(
+    "tiny",
+    Direction.DECONV,
+    (POOL_LAYER, LayerSpec(kind=LayerKind.CONV, filter=(9, 9), stride=(1, 1))),
+)
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [(POOL_LAYER, name) for name in ("kind", "filter", "stride", "channels_out", "other")]
+    + [(TINY, name) for name in ("name", "direction", "layers", "other")],
+)
+def test_record_fields_cannot_be_assigned_or_deleted(record, field):
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(record, field)
+
+
+def test_records_are_equal_and_hashed_by_value():
+    twin = LayerSpec(kind=LayerKind.POOL, filter=(2, 3), stride=(2, 1), channels_out=64)
+    assert twin is not POOL_LAYER
+    assert twin == POOL_LAYER and hash(twin) == hash(POOL_LAYER)
+    network = NetworkSpec("tiny", Direction.DECONV, (twin, TINY.layers[1]))
+    assert network == TINY and hash(network) == hash(TINY)
+    assert len({twin, POOL_LAYER}) == len({network, TINY}) == 1
+    for other in (
+        LayerSpec(LayerKind.CONV, (2, 3), (2, 1), 64),
+        LayerSpec(LayerKind.POOL, (3, 2), (2, 1), 64),
+        LayerSpec(LayerKind.POOL, (2, 3), (1, 2), 64),
+        LayerSpec(LayerKind.POOL, (2, 3), (2, 1)),
+        (LayerKind.POOL, (2, 3), (2, 1), 64),
+    ):
+        assert other != POOL_LAYER
+    for other in (
+        NetworkSpec("", Direction.DECONV, TINY.layers),
+        NetworkSpec("tiny", Direction.CONV, TINY.layers),
+        NetworkSpec("tiny", Direction.DECONV, TINY.layers[:1]),
+    ):
+        assert other != TINY
+
+
+def test_record_repr_names_every_field():
+    assert repr(TINY) == (
+        "NetworkSpec(name='tiny', direction=<Direction.DECONV: 'deconv'>, layers=("
+        "LayerSpec(kind=<LayerKind.POOL: 'pool'>, filter=(2, 3), stride=(2, 1), channels_out=64), "
+        "LayerSpec(kind=<LayerKind.CONV: 'conv'>, filter=(9, 9), stride=(1, 1), channels_out=None)))"
+    )
+
+
+def _pickled(record):
+    return pickle.loads(pickle.dumps(record))
+
+
+@pytest.mark.parametrize("clone", [_pickled, copy.deepcopy, copy.copy])
+def test_records_copy_and_pickle_by_value(clone):
+    for record in (POOL_LAYER, TINY):
+        copied = clone(record)
+        assert type(copied) is type(record)
+        assert copied == record and repr(copied) == repr(record)
+
+
+def test_a_network_is_not_a_sequence():
+    with pytest.raises(TypeError):
+        len(TINY)

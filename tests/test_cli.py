@@ -29,19 +29,25 @@ def write_net(tmp_path, text, name="net.net"):
     return str(path)
 
 
+def _child_env(**extra):
+    """The environment for a child fieldscope process, with src on its path;
+    output is buffered unless extra sets PYTHONUNBUFFERED."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **extra}
+
+
 def verify_in_a_child(path, address_space=800 * 2**20):
     """Run `python -m fieldscope verify path` with the child's address space capped."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
-    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     return subprocess.run(
         [sys.executable, "-m", "fieldscope", "verify", path],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
         preexec_fn=cap,
         timeout=120,
     )
@@ -350,3 +356,44 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "400x400" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [["verify", "--random", "--trials", "50"], ["analyze", CHAIN11]], ids=["verify", "analyze"]
+)
+def test_a_closed_pipe_exits_2_without_a_traceback(argv, unbuffered):
+    # stdout, then also stderr, on a pipe whose reader has gone, as in
+    # `fieldscope ... | head -c 0` and `fieldscope ... 2>&1 | head -c 0`
+    env = _child_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "fieldscope", *argv],
+                stdout=write_end,
+                stderr=stderr,
+                env=env,
+                timeout=60,
+            )
+            for stderr in (subprocess.PIPE, write_end)
+        ]
+    finally:
+        os.close(write_end)
+    assert [run.returncode for run in runs] == [2, 2]
+    assert runs[0].stderr == b"fieldscope: error: [Errno 32] Broken pipe\n"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect_nor_json():
+    # -S keeps site-packages' .pth files, which may import anything, out of the result.
+    code = "import sys, fieldscope.cli; print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -290,7 +289,7 @@ def test_axes_are_independent(network):
 
 def concatenate(first: NetworkSpec, second: NetworkSpec) -> NetworkSpec:
     """first's layers, then second's on top of them."""
-    return replace(first, layers=first.layers + second.layers)
+    return NetworkSpec(first.name, first.direction, first.layers + second.layers)
 
 
 @given(
