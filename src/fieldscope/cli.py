@@ -169,14 +169,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        if args.random and args.file is not None:
-            parser.error("give either a file or --random, not both")
-        if not args.random and args.file is None:
-            parser.error("a file is required unless --random is set")
-        if args.random and args.trials < 1:
-            parser.error("--trials must be >= 1")
+    try:
+        args = parser.parse_args(argv)
+        if args.command == "verify":
+            if args.random and args.file is not None:
+                parser.error("give either a file or --random, not both")
+            if not args.random and args.file is None:
+                parser.error("a file is required unless --random is set")
+            if args.random and args.trials < 1:
+                parser.error("--trials must be >= 1")
+    except SystemExit:
+        # argparse ignores a failed write of its help or usage text, so a
+        # reader that has gone surfaces here, not in the flush at exit
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                _discard(stream)
+        raise
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that has gone raises here, not at exit

@@ -9,8 +9,8 @@ DSL (.net files, UTF-8, LF or CRLF), one layer per line:
     conv 9 s1 c64           optional trailing channel count
     # comment to end of line; blank lines are fine
 
-Manifest (.toml files), a small key-value subset with repeated layer
-sections; scalar filter/stride fill both axes:
+Manifest (.toml files), TOML read by the standard library's tomllib, one
+[[layer]] section per layer; scalar filter/stride fill both axes:
 
     name = "chain11"
     direction = "conv"      # or "deconv"
@@ -21,16 +21,16 @@ sections; scalar filter/stride fill both axes:
     stride = 1              # or [1, 1]
     channels_out = 64       # optional
 
-A '#' inside a "..." string is text, not a comment; a string left open, or
-a value that opens a string and goes on past its close, is an error.
-Unknown manifest keys warn (ManifestWarning) but do not fail. Every hard
-failure raises ParseError carrying positioned diagnostics; no input text
-crashes the parsers.
+Unknown manifest keys and tables warn (ManifestWarning) but do not fail. A
+TOML syntax error is placed at tomllib's line and column, a finding about a
+layer at its [[layer]] header line. Every hard failure raises ParseError
+carrying positioned diagnostics; no input text crashes the parsers.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -69,10 +69,6 @@ _TOKEN = re.compile(r"\S+")
 _SIZE = re.compile(r"(\d+)(?:x(\d+))?")
 _STRIDE = re.compile(r"s(\d+)(?:x(\d+))?")
 _CHANNELS = re.compile(r"c(\d+)")
-
-
-def _lines(text: str) -> list[str]:
-    return [line.rstrip("\r") for line in text.split("\n")]
 
 
 def _int(
@@ -115,8 +111,8 @@ def parse_dsl(text: str) -> NetworkSpec:
     # a repeated line reuses its immutable LayerSpec.
     seen: dict[str, LayerSpec] = {}
 
-    for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.split("#", 1)[0]
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].rstrip("\r")
         layer = seen.get(line)
         if layer is None and (match := _LAYER_LINE.fullmatch(line)) is not None:
             kind, fh, fw, sh, sw, channels = match.groups()
@@ -248,179 +244,100 @@ def _parse_dsl_layer(
     return LayerSpec(kind=kind, filter=size, stride=stride, channels_out=channels)
 
 
-_KEY_VALUE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)")
-_SECTION = re.compile(r"\[\[\s*([A-Za-z_][A-Za-z0-9_]*)\s*\]\]")
-_INT = re.compile(r"\d+")
-_INT_LIST = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*\]")
-_QUOTED = re.compile(r'"([^"]*)"')
-# A manifest line up to its comment: '#' inside a "..." string is text, and a
-# string left open runs to the end of the line.
-_CONTENT = re.compile(r'[^"#]*(?:"[^"]*"?[^"#]*)*')
-
-# A manifest value with the line and column of its key; None marks a value
-# already reported as an unterminated string.
-_Entry = tuple[str | None, int, int]
-
-_TOP_KEYS = ("name", "direction")
-_LAYER_KEYS = ("kind", "filter", "stride", "channels_out")
+_LAYER_KEYS = ("kind", "filter", "stride", "channels_out")  # all but the last required
+_LAYER_HEADER = re.compile(r"""[ \t]*\[\[[ \t]*(?:layer|"layer"|'layer')[ \t]*\]\]""")
 
 
 def parse_manifest(text: str) -> NetworkSpec:
-    """Parse manifest text into a NetworkSpec.
+    """Parse manifest text into a NetworkSpec; raises ParseError on a TOML
+    syntax error or a missing or ill-typed key. Unknown keys only warn."""
+    import tomllib  # only manifests need it, so it stays off the start-up path
 
-    Raises ParseError on missing or ill-typed keys; unknown keys only emit
-    ManifestWarning.
-    """
-    diagnostics: list[ParseDiagnostic] = []
-    top: dict[str, _Entry] = {}
-    sections: list[tuple[int, dict[str, _Entry]]] = []
-    current: dict[str, _Entry] | None = None
+    try:
+        document = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        # The message ends "(at line L, column C)" or "(at end of document)".
+        message, _, where = str(exc).rpartition(" (at ")
+        line, column = text.count("\n") + 1, len(text) - text.rfind("\n")
+        if where.startswith("line "):
+            line, column = (int(part.split()[-1]) for part in where.rstrip(")").split(","))
+        raise ParseError([ParseDiagnostic(line, column, message)]) from None
+    except ValueError:  # a decimal literal past int()'s digit limit
+        raise ParseError([_too_long(text, tomllib)]) from None
+    except RecursionError:  # tomllib recurses once per nested array or inline table
+        raise ParseError([ParseDiagnostic(1, 1, "nesting too deep")]) from None
 
-    for lineno, raw in enumerate(_lines(text), start=1):
-        content = _CONTENT.match(raw).group()
-        line = content.strip()
-        if not line:
-            continue
-        column = len(raw) - len(raw.lstrip()) + 1
-        unterminated = content.count('"') % 2
-        if unterminated:
-            diagnostics.append(
-                ParseDiagnostic(lineno, content.rfind('"') + 1, "unterminated string")
-            )
-        if line.startswith("[") and not unterminated:
-            section = _SECTION.fullmatch(line)
-            if section is None:
-                diagnostics.append(
-                    ParseDiagnostic(lineno, column, "malformed section header, expected [[layer]]")
-                )
-            elif section.group(1) != "layer":
-                diagnostics.append(
-                    ParseDiagnostic(lineno, column, f"unknown section {section.group(1)!r}")
-                )
-            else:
-                current = {}
-                sections.append((lineno, current))
-            continue
-        pair = _KEY_VALUE.fullmatch(line)
-        if pair is None:
-            if not unterminated:
-                diagnostics.append(
-                    ParseDiagnostic(lineno, column, "expected 'key = value' or [[layer]]")
-                )
-            continue
-        # An unterminated value is kept as None, already reported, so the key
-        # still counts as present and no second error follows from it.
-        key, value = pair.group(1), None if unterminated else pair.group(2).strip()
-        known = _LAYER_KEYS if current is not None else _TOP_KEYS
-        scope = current if current is not None else top
-        if key not in known:
-            diagnostics.append(
-                ParseDiagnostic(lineno, column, f"unknown key {key!r}", severity="warning")
-            )
-            continue
-        if key in scope:
-            diagnostics.append(ParseDiagnostic(lineno, column, f"duplicate key {key!r}"))
-            continue
-        scope[key] = (value, lineno, column)
-
-    name = ""
-    value, lineno, column = top.get("name", (None, 0, 0))
-    if value is not None:
-        # An unquoted name is taken as is; one that opens a string must be
-        # exactly that string, or trailing text would become part of it.
-        if value.startswith('"') and _QUOTED.fullmatch(value) is None:
-            diagnostics.append(
-                ParseDiagnostic(lineno, column, f"name must be one quoted string, got {value!r}")
-            )
-        name = _unquote(value)
-    direction = Direction.CONV
-    value, lineno, column = top.get("direction", (None, 0, 0))
-    if value is not None:
-        label = _unquote(value)
-        if label in ("conv", "deconv"):
-            direction = Direction(label)
-        else:
-            diagnostics.append(
-                ParseDiagnostic(lineno, column, f"direction must be 'conv' or 'deconv', got {label!r}")
-            )
+    # Top-level findings point at line 1, one about layer k at the k-th
+    # [[layer]] header line, so those headers must be what made the tables.
+    unknown = [key for key in document if key not in ("name", "direction", "layer")]
+    found = [ParseDiagnostic(1, 1, f"unknown key {key!r}", "warning") for key in unknown]
+    name = document.get("name", "")
+    if type(name) is not str:
+        found.append(ParseDiagnostic(1, 1, f"name must be a string, got {name!r}"))
+    label = document.get("direction", "conv")
+    if label not in ("conv", "deconv"):
+        found.append(ParseDiagnostic(1, 1, f"direction must be 'conv' or 'deconv', got {label!r}"))
+    tables = document.get("layer", [])
+    lines = enumerate(text.split("\n"), start=1)
+    headers = [n for n, line in lines if "[[" in line and _LAYER_HEADER.match(line)]
+    if type(tables) is not list or [type(table) for table in tables] != [dict] * len(headers):
+        found.append(ParseDiagnostic(1, 1, "layers must be written as [[layer]] sections"))
+        tables = []
 
     layers = []
-    for position, (header_line, keys) in enumerate(sections, start=1):
-        layer = _build_manifest_layer(position, header_line, keys, diagnostics)
-        if layer is not None:
-            layers.append(layer)
+    for position, (line, table) in enumerate(zip(headers, tables), start=1):
+        unknown = [f"unknown key {key!r}" for key in table if key not in _LAYER_KEYS]
+        problems = [f"missing key {key!r}" for key in _LAYER_KEYS[:3] if key not in table]
+        kind = table.get("kind", "conv")
+        if kind not in ("conv", "pool"):
+            problems.append(f"unknown layer kind {kind!r}")
+        size, stride = _int_pair(table.get("filter", 1)), _int_pair(table.get("stride", 1))
+        problems += [
+            f"{key!r} must be an integer or a two-integer list, got {table[key]!r}"
+            for key, pair in (("filter", size), ("stride", stride))
+            if pair is None
+        ]
+        channels = table.get("channels_out")
+        if channels is not None and type(channels) is not int:
+            problems.append(f"'channels_out' must be an integer, got {channels!r}")
+        for level, messages in (("warning", unknown), ("error", problems)):
+            found += [ParseDiagnostic(line, 1, f"layer {position}: {m}", level) for m in messages]
+        if not problems:
+            layers.append(LayerSpec(_KINDS[kind], size, stride, channels))
 
-    if not sections and not any(d.severity == "error" for d in diagnostics):
-        diagnostics.append(ParseDiagnostic(1, 1, "no layers defined"))
-    if any(d.severity == "error" for d in diagnostics):
-        raise ParseError(diagnostics)
-    for diagnostic in diagnostics:
+    if not layers and not any(d.severity == "error" for d in found):
+        found.append(ParseDiagnostic(1, 1, "no layers defined"))
+    if any(d.severity == "error" for d in found):
+        raise ParseError(found)
+    for diagnostic in found:
         warnings.warn(f"{diagnostic}", ManifestWarning, stacklevel=2)
-    return NetworkSpec(name=name, direction=direction, layers=tuple(layers))
+    return NetworkSpec(name=name, direction=Direction(label), layers=tuple(layers))
 
 
-def _unquote(value: str) -> str:
-    quoted = _QUOTED.fullmatch(value)
-    return quoted.group(1) if quoted else value
+def _int_pair(value: object) -> tuple[int, int] | None:
+    # bool is an int subclass, so types are matched exactly
+    if type(value) is int:
+        return value, value
+    if type(value) is list and len(value) == 2 and type(value[0]) is type(value[1]) is int:
+        return value[0], value[1]
+    return None
 
 
-def _build_manifest_layer(
-    position: int,
-    header_line: int,
-    keys: dict[str, _Entry],
-    diagnostics: list[ParseDiagnostic],
-) -> LayerSpec | None:
-    bad = False
-    for required in ("kind", "filter", "stride"):
-        if required not in keys:
-            diagnostics.append(
-                ParseDiagnostic(header_line, 1, f"layer {position} is missing key {required!r}")
-            )
-            bad = True
-    if bad or any(value is None for value, _, _ in keys.values()):
-        return None
-
-    kind_text, kind_line, kind_col = keys["kind"]
-    kind_label = _unquote(kind_text)
-    try:
-        kind = LayerKind(kind_label)
-    except ValueError:
-        diagnostics.append(
-            ParseDiagnostic(kind_line, kind_col, f"unknown layer kind {kind_label!r}")
-        )
-        return None
-
-    def int_pair(key: str) -> tuple[int, int] | None:
-        value, lineno, column = keys[key]
-        if _INT.fullmatch(value):
-            return _pair(value, None, lineno, column, key, diagnostics)
-        pair = _INT_LIST.fullmatch(value)
-        if pair:
-            return _pair(*pair.groups(), lineno, column, key, diagnostics)
-        diagnostics.append(
-            ParseDiagnostic(
-                lineno, column, f"{key!r} must be an integer or a two-integer list, got {value!r}"
-            )
-        )
-        return None
-
-    size = int_pair("filter")
-    stride = int_pair("stride")
-    channels = None
-    if "channels_out" in keys:
-        value, lineno, column = keys["channels_out"]
-        if _INT.fullmatch(value):
-            channels = _int(value, lineno, column, "channels_out", diagnostics)
-            if channels is None:
-                return None
-        else:
-            diagnostics.append(
-                ParseDiagnostic(lineno, column, f"'channels_out' must be an integer, got {value!r}")
-            )
-            return None
-    if size is None or stride is None:
-        return None
-    return LayerSpec(kind=kind, filter=size, stride=stride, channels_out=channels)
+def _too_long(text: str, tomllib) -> ParseDiagnostic:
+    """The over-long decimal literal that stopped tomllib: the first run of too
+    many digits that still fails so when the text is cut just after it."""
+    for run in re.finditer(r"(?<![0-9_])[0-9][0-9_]*(?![0-9_.eE])", text):
+        digits = len(run.group().replace("_", ""))
+        if digits > sys.get_int_max_str_digits():
+            try:
+                tomllib.loads(text[: run.end()])
+            except (tomllib.TOMLDecodeError, RecursionError):
+                pass
+            except ValueError:
+                start = run.start()
+                line, column = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+                return ParseDiagnostic(line, column, f"integer too long ({digits} digits)")
+    return ParseDiagnostic(1, 1, "integer too long")
 
 
 def serialize_dsl(network: NetworkSpec) -> str:

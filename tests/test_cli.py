@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -358,13 +359,24 @@ def test_module_entrypoint_runs():
     assert "400x400" in proc.stdout
 
 
+BROKEN_PIPE = rb"fieldscope: error: \[Errno 32\] Broken pipe\n"
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
-    "argv", [["verify", "--random", "--trials", "50"], ["analyze", CHAIN11]], ids=["verify", "analyze"]
+    "argv, code, err",
+    [
+        (["verify", "--random", "--trials", "50"], 2, BROKEN_PIPE),
+        (["analyze", CHAIN11], 2, BROKEN_PIPE),
+        (["--help"], 0, rb""),
+        (["verify"], 2, rb"usage: fieldscope .*\nfieldscope: error: a file is required .*\n"),
+    ],
+    ids=["verify", "analyze", "help", "usage"],
 )
-def test_a_closed_pipe_exits_2_without_a_traceback(argv, unbuffered):
+def test_a_closed_pipe_exits_2_without_a_traceback(argv, code, err, unbuffered):
     # stdout, then also stderr, on a pipe whose reader has gone, as in
-    # `fieldscope ... | head -c 0` and `fieldscope ... 2>&1 | head -c 0`
+    # `fieldscope ... | head -c 0` and `fieldscope ... 2>&1 | head -c 0`;
+    # argparse's help and usage errors keep their own codes
     env = _child_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -381,13 +393,14 @@ def test_a_closed_pipe_exits_2_without_a_traceback(argv, unbuffered):
         ]
     finally:
         os.close(write_end)
-    assert [run.returncode for run in runs] == [2, 2]
-    assert runs[0].stderr == b"fieldscope: error: [Errno 32] Broken pipe\n"
+    assert [run.returncode for run in runs] == [code, code]
+    assert re.fullmatch(err, runs[0].stderr, re.S)
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect_nor_json():
+def test_importing_the_cli_loads_none_of_dataclasses_inspect_json_or_tomllib():
     # -S keeps site-packages' .pth files, which may import anything, out of the result.
-    code = "import sys, fieldscope.cli; print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
+    modules = "{'dataclasses', 'inspect', 'json', 'tomllib'}"
+    code = f"import sys, fieldscope.cli; print(sorted({modules} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,

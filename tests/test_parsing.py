@@ -16,6 +16,7 @@ from fieldscope import (
     Direction,
     LayerKind,
     ManifestWarning,
+    NetworkSpec,
     ParseError,
     load_network,
     parse_dsl,
@@ -88,13 +89,18 @@ class TestParseDsl:
         assert [d.line for d in excinfo.value.diagnostics] == [1, 2, 3]
 
 
+# tomllib's messages for a newline inside a string and for text after a value
+OPEN_STRING = "Illegal character '\\n'"
+AFTER_VALUE = "Expected newline or end of document after a statement"
+
+
 class TestParseManifest:
     def test_scalar_layer_matches_dsl(self):
         manifest = 'name = ""\n\n[[layer]]\nkind = "conv"\nfilter = 9\nstride = 1\n'
         assert parse_manifest(manifest) == parse_dsl("conv 9 s1")
 
     def test_list_valued_filter_and_stride(self):
-        manifest = "[[layer]]\nkind = conv\nfilter = [5, 3]\nstride = [2, 1]\n"
+        manifest = '[[layer]]\nkind = "conv"\nfilter = [5, 3]\nstride = [2, 1]\n'
         (layer,) = parse_manifest(manifest).layers
         assert layer.filter == (5, 3)
         assert layer.stride == (2, 1)
@@ -106,12 +112,13 @@ class TestParseManifest:
 
     def test_unknown_key_warns_but_parses(self):
         manifest = 'pad = 1\n\n[[layer]]\nkind = "conv"\nfilter = 3\nstride = 1\nbias = 0\n'
+        manifest += "\n[foo]\nx = 1\n\n[[bar]]\ny = 2\n"
         with pytest.warns(ManifestWarning) as caught:
             network = parse_manifest(manifest)
-        assert len(network.layers) == 1
+        assert network == parse_dsl("conv 3 s1")
         messages = [str(w.message) for w in caught]
-        assert any("'pad'" in m for m in messages)
-        assert any("'bias'" in m for m in messages)
+        for key in ("pad", "bias", "foo", "bar"):
+            assert any(f"unknown key '{key}'" in m for m in messages)
 
     def test_missing_key_points_at_section(self):
         manifest = "# leading comment\n[[layer]]\nkind = \"conv\"\nstride = 1\n"
@@ -121,8 +128,24 @@ class TestParseManifest:
         assert diagnostic.line == 2
         assert "missing key 'filter'" in diagnostic.message
 
+    def test_a_layer_finding_points_at_its_header_however_it_is_spelled(self):
+        manifest = (
+            '[[layer]]\r\nkind = "conv"\r\nfilter = 3\r\nstride = 1\r\n\r\n'
+            '  [[ "layer" ]]  # second\r\nkind = "pool"\r\nstride = 1\r\n'
+        )
+        with pytest.raises(ParseError) as excinfo:
+            parse_manifest(manifest)
+        assert excinfo.value.diagnostics == ((6, 1, "layer 2: missing key 'filter'", "error"),)
+
+    @pytest.mark.parametrize("case", ["single-table", "inline-table"])
+    def test_layers_must_be_written_as_sections(self, case):
+        with pytest.raises(ParseError) as excinfo:
+            parse_manifest(BAD_MANIFESTS[case])
+        message = "layers must be written as [[layer]] sections"
+        assert excinfo.value.diagnostics == ((1, 1, message, "error"),)
+
     def test_ill_typed_value(self):
-        manifest = "[[layer]]\nkind = conv\nfilter = [1, 2, 3]\nstride = 1\n"
+        manifest = '[[layer]]\nkind = "conv"\nfilter = [1, 2, 3]\nstride = 1\n'
         with pytest.raises(ParseError, match="two-integer list"):
             parse_manifest(manifest)
 
@@ -133,12 +156,12 @@ class TestParseManifest:
         assert network.direction is Direction.DECONV
 
     def test_bad_direction(self):
-        manifest = 'direction = "sideways"\n[[layer]]\nkind = conv\nfilter = 3\nstride = 1\n'
+        manifest = 'direction = "sideways"\n[[layer]]\nkind = "conv"\nfilter = 3\nstride = 1\n'
         with pytest.raises(ParseError, match="conv"):
             parse_manifest(manifest)
 
     def test_channels_out(self):
-        manifest = "[[layer]]\nkind = conv\nfilter = 3\nstride = 1\nchannels_out = 10\n"
+        manifest = '[[layer]]\nkind = "conv"\nfilter = 3\nstride = 1\nchannels_out = 10\n'
         (layer,) = parse_manifest(manifest).layers
         assert layer.channels_out == 10
 
@@ -147,9 +170,10 @@ class TestParseManifest:
             parse_manifest('name = "empty"\n')
 
     def test_duplicate_key(self):
-        manifest = "[[layer]]\nkind = conv\nkind = pool\nfilter = 3\nstride = 1\n"
-        with pytest.raises(ParseError, match="duplicate key"):
+        manifest = '[[layer]]\nkind = "conv"\nkind = "pool"\nfilter = 3\nstride = 1\n'
+        with pytest.raises(ParseError) as excinfo:
             parse_manifest(manifest)
+        assert excinfo.value.diagnostics == ((3, 14, "Cannot overwrite a value", "error"),)
 
     def test_hash_inside_a_string_is_not_a_comment(self):
         manifest = 'name = "net#1"  # trailing\n[[layer]]\nkind = "conv" # "c\nfilter = 3\nstride = 1\n'
@@ -157,33 +181,34 @@ class TestParseManifest:
         assert network.name == "net#1"
         assert network.layers == parse_dsl("conv 3 s1").layers
 
+    # tomllib stops at the first error and places it; a string left open ends
+    # at the newline it may not contain.
     @pytest.mark.parametrize(
-        "top, kind, line, column",
+        "top, kind, line, column, message",
         [
-            ('name = "net', "conv", 1, 8),
-            ('name = "net # tail', "conv", 1, 8),
-            ('name = "a" "b', "conv", 1, 12),
-            ('direction = "deconv', "conv", 1, 13),
-            ("", '"conv', 3, 8),
-            ("", '"conv  # tail', 3, 8),
+            ('name = "net', "conv", 1, 12, OPEN_STRING),
+            ('name = "net # tail', "conv", 1, 19, OPEN_STRING),
+            ('name = "a" "b', "conv", 1, 12, AFTER_VALUE),
+            ('direction = "deconv', "conv", 1, 20, OPEN_STRING),
+            ("", '"conv', 3, 13, OPEN_STRING),
+            ("", '"conv  # tail', 3, 21, OPEN_STRING),
         ],
     )
-    def test_unterminated_string_is_a_positioned_error(self, top, kind, line, column):
+    def test_unterminated_string_is_a_positioned_error(self, top, kind, line, column, message):
         manifest = f"{top}\n[[layer]]\nkind = {kind}\nfilter = 3\nstride = 1\n"
         with pytest.raises(ParseError) as excinfo:
             parse_manifest(manifest)
-        (diagnostic,) = excinfo.value.diagnostics
-        assert (diagnostic.line, diagnostic.column) == (line, column)
-        assert diagnostic.message == "unterminated string"
+        assert excinfo.value.diagnostics == ((line, column, message, "error"),)
 
-    @pytest.mark.parametrize("value", ['"a" x', '"a""b"', '"a" "b"'])
-    def test_a_name_that_opens_a_string_must_be_exactly_that_string(self, value, tmp_path, capsys):
-        manifest = f"name = {value}\n[[layer]]\nkind = conv\nfilter = 3\nstride = 1\n"
+    @pytest.mark.parametrize("value, column", [('"a" x', 12), ('"a""b"', 11), ('"a" "b"', 12)])
+    def test_a_name_that_opens_a_string_must_be_exactly_that_string(
+        self, value, column, tmp_path, capsys
+    ):
+        manifest = f'name = {value}\n[[layer]]\nkind = "conv"\nfilter = 3\nstride = 1\n'
         with pytest.raises(ParseError) as excinfo:
             parse_manifest(manifest)
         (diagnostic,) = excinfo.value.diagnostics
-        assert (diagnostic.line, diagnostic.column) == (1, 1)
-        assert diagnostic.message == f"name must be one quoted string, got {value!r}"
+        assert diagnostic == (1, column, AFTER_VALUE, "error")
         path = tmp_path / "net.toml"
         path.write_text(manifest)
         assert main(["analyze", str(path)]) == 2
@@ -191,12 +216,24 @@ class TestParseManifest:
         assert captured.out == ""
         assert captured.err == f"fieldscope: error: {diagnostic}\n"
 
-    def test_an_unquoted_name_is_still_accepted(self):
-        manifest = "name = chain11\n[[layer]]\nkind = conv\nfilter = 3\nstride = 1\n"
-        assert parse_manifest(manifest).name == "chain11"
+    @pytest.mark.parametrize(
+        "manifest, line",
+        [
+            ('name = chain11\n[[layer]]\nkind = "conv"\nfilter = 3\nstride = 1\n', 1),
+            ("[[layer]]\nkind = conv\nfilter = 3\nstride = 1\n", 2),
+        ],
+        ids=["name", "kind"],
+    )
+    def test_an_unquoted_value_is_an_error(self, manifest, line, tmp_path, capsys):
+        path = tmp_path / "net.toml"
+        path.write_text(manifest)
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fieldscope: error: line {line}, column 8: Invalid value\n"
 
     def test_cli_prints_a_quoted_hash_and_exits_2_on_an_open_string(self, tmp_path, capsys):
-        layer = "\n[[layer]]\nkind = conv\nfilter = 3\nstride = 1\n"
+        layer = '\n[[layer]]\nkind = "conv"\nfilter = 3\nstride = 1\n'
         path = tmp_path / "net.toml"
         path.write_text('name = "net#1"' + layer)
         assert main(["analyze", str(path)]) == 0
@@ -205,7 +242,7 @@ class TestParseManifest:
         assert main(["analyze", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "fieldscope: error: line 1, column 8: unterminated string\n"
+        assert captured.err == f"fieldscope: error: line 1, column 12: {OPEN_STRING}\n"
 
 
 class TestSerializeDsl:
@@ -237,6 +274,37 @@ def test_round_trip_identity(network):
     assert parse_dsl(serialize_dsl(network)) == network
 
 
+def _toml_string(text):
+    """text as a TOML basic string: quote, backslash, control characters
+    other than tab, and DEL are escaped."""
+    return '"' + "".join(
+        f"\\u{ord(ch):04x}" if ch in '"\\\x7f' or (ch < " " and ch != "\t") else ch
+        for ch in text
+    ) + '"'
+
+
+def _toml_pair(value):
+    return str(value[0]) if value[0] == value[1] else f"[{value[0]}, {value[1]}]"
+
+
+def write_manifest(network):
+    """network as a manifest with one [[layer]] section per layer."""
+    lines = [f"name = {_toml_string(network.name)}", f'direction = "{network.direction.value}"']
+    for layer in network.layers:
+        lines += ["", "[[layer]]", f'kind = "{layer.kind.value}"']
+        lines += [f"filter = {_toml_pair(layer.filter)}", f"stride = {_toml_pair(layer.stride)}"]
+        if layer.channels_out is not None:
+            lines.append(f"channels_out = {layer.channels_out}")
+    return "\n".join(lines) + "\n"
+
+
+@given(networks(named=True), st.text())
+@example(make_network(("conv", 3, 1)), '\x00\x1f\x7f\t"\\\n\r\u2028 #[[layer]]')
+def test_any_network_survives_the_manifest_format(network, name):
+    network = NetworkSpec(name=name, direction=network.direction, layers=network.layers)
+    assert parse_manifest(write_manifest(network)) == network
+
+
 # a literal past int()'s digit limit (sys.get_int_max_str_digits)
 LONG_LITERAL = "9" * 5000
 
@@ -255,12 +323,46 @@ def test_dsl_parsing_is_total(text):
             assert diagnostic.column <= len(lines[diagnostic.line - 1]) + 1
 
 
+def _layer(**values):
+    """One [[layer]] section of conv 3 s1, with values given as TOML text."""
+    keys = {"kind": '"conv"', "filter": "3", "stride": "1", **values}
+    return "[[layer]]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+# Manifests that are TOML but no network, or hold a literal too long to decode.
+BAD_MANIFESTS = {
+    "bool-filter": _layer(filter="true"),
+    "float-filter": _layer(filter="3.0"),
+    "string-filter": _layer(filter='"3"'),
+    "three-filters": _layer(filter="[1, 2, 3]"),
+    "int-kind": _layer(kind="1"),
+    "int-name": "name = 5\n" + _layer(),
+    "single-table": _layer().replace("[[layer]]", "[layer]"),
+    "inline-table": 'layer = [{kind = "conv", filter = 3, stride = 1}]\n',
+    "long-filter": _layer(filter="_".join(LONG_LITERAL)),
+    "deep-array": "x = " + "[" * 2000,
+    "deep-inline-table": "x = " + "{a = " * 2000,
+}
+
+
+def examples(texts):
+    """@example for each text."""
+
+    def apply(test):
+        for text in texts:
+            test = example(text)(test)
+        return test
+
+    return apply
+
+
 @given(st.text())
 @example(f'[[layer]]\nkind = "conv"\nfilter = {LONG_LITERAL}\nstride = 1\n')
 @example(
     f'[[layer]]\nkind = "conv"\nfilter = [3, {LONG_LITERAL}]\nstride = 1\n'
     f"channels_out = {LONG_LITERAL}\n"
 )
+@examples(BAD_MANIFESTS.values())
 def test_manifest_parsing_is_total(text):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ManifestWarning)
@@ -271,6 +373,34 @@ def test_manifest_parsing_is_total(text):
             for diagnostic in exc.diagnostics:
                 assert 1 <= diagnostic.line <= max(1, len(lines))
                 assert diagnostic.column >= 1
+                assert diagnostic.column <= len(lines[diagnostic.line - 1]) + 1
+
+
+@pytest.mark.parametrize("text", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS.keys())
+def test_a_bad_manifest_exits_2_with_one_line_findings(text, tmp_path, capsys):
+    path = tmp_path / "net.toml"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines and all(line.startswith("fieldscope: error: ") for line in lines)
+
+
+def test_a_too_long_literal_is_placed_past_digits_in_comments_strings_and_floats():
+    manifest = (
+        f'# {LONG_LITERAL}\nname = "{LONG_LITERAL}"\nx = {LONG_LITERAL}.5\n'
+        + _layer(filter=f"[3, {LONG_LITERAL}]")
+    )
+    with pytest.raises(ParseError) as excinfo:
+        parse_manifest(manifest)
+    assert excinfo.value.diagnostics == ((6, 14, "integer too long (5000 digits)", "error"),)
+
+
+def test_nesting_past_the_recursion_limit_is_a_parse_error():
+    with pytest.raises(ParseError) as excinfo:
+        parse_manifest(BAD_MANIFESTS["deep-array"])
+    assert excinfo.value.diagnostics == ((1, 1, "nesting too deep", "error"),)
 
 
 def _parse_outcome(text):
