@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--random", action="store_true", help="verify random networks instead of a file")
     verify.add_argument("--trials", type=int, default=100, metavar="N")
     verify.add_argument("--seed", type=int, default=0, metavar="S")
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(func=cmd_verify, usage_error=verify.error)
 
     footprint = commands.add_parser(
         "footprint", help="ASCII diagram of a layer's projection onto each lower layer"
@@ -173,11 +173,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "verify":
             if args.random and args.file is not None:
-                parser.error("give either a file or --random, not both")
+                args.usage_error("give either a file or --random, not both")
             if not args.random and args.file is None:
-                parser.error("a file is required unless --random is set")
+                args.usage_error("a file is required unless --random is set")
             if args.random and args.trials < 1:
-                parser.error("--trials must be >= 1")
+                args.usage_error("--trials must be >= 1")
     except SystemExit:
         # argparse ignores a failed write of its help or usage text, so a
         # reader that has gone surfaces here, not in the flush at exit

@@ -106,13 +106,6 @@ def _pf_1d(f: int, s: int) -> set[int]:
     return {f // s, -(-f // s)}
 
 
-def _pf_2d(filter: Pair, stride: Pair) -> frozenset[Pair]:
-    """PF sizes of one next layer as (height, width) pairs: the product of its axis sets."""
-    heights = _pf_1d(filter[0], stride[0])
-    widths = _pf_1d(filter[1], stride[1])
-    return frozenset((h, w) for h in heights for w in widths)
-
-
 def erf_bottom_up(network: NetworkSpec) -> ErfTrace:
     """Compute the ERF of every layer in a single forward sweep."""
     require_valid(network)
@@ -164,8 +157,8 @@ def pf_size_set(network: NetworkSpec, k: int) -> frozenset[Pair]:
         raise LayerRangeError(
             f"layer index {k} out of range 0..{len(network.layers) - 1}"
         )
-    nxt = network.layers[k]
-    return _pf_2d(nxt.filter, nxt.stride)
+    (fh, fw), (sh, sw) = network.layers[k].filter, network.layers[k].stride
+    return frozenset((h, w) for h in _pf_1d(fh, sh) for w in _pf_1d(fw, sw))
 
 
 def deconv_view(network: NetworkSpec) -> NetworkSpec:

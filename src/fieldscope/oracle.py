@@ -49,7 +49,7 @@ class PfCountField(NamedTuple):
     @property
     def size_pairs(self) -> frozenset[Pair]:
         """Distinct (height, width) PF sizes observed while sliding."""
-        return frozenset((h, w) for h in self.counts_h for w in self.counts_w)
+        return _product(self.counts_h, self.counts_w)
 
 
 def _influence_1d(filters: list[int], strides: list[int]) -> list[tuple[int, int]]:
@@ -153,23 +153,69 @@ class PfAgreementRow(NamedTuple):
         return self.closed_form == self.oracle
 
 
-class EquivalenceReport(NamedTuple):
-    """Formula-vs-oracle comparison for one network."""
+class AxisCheck(NamedTuple):
+    """The columns verify compares on one axis: three ERF routes per layer 0..n
+    (swept is the oracle's (span, cardinality)), two PF size sets per boundary."""
 
-    network_name: str
-    erf_rows: tuple[ErfAgreementRow, ...]  # entry k is layer k, input first
-    pf_rows: tuple[PfAgreementRow, ...]  # entry k is boundary k
+    bottom_up: list[int]
+    top_down: list[int]
+    swept: list[tuple[int, int]]
+    pf_closed: list[set[int]]
+    pf_oracle: list[set[int]]
 
     @property
     def passed(self) -> bool:
-        return all(r.matches for r in self.erf_rows) and all(
-            r.matches for r in self.pf_rows
+        spans = [span for span, _ in self.swept]
+        return self.bottom_up == self.top_down == spans and self.pf_closed == self.pf_oracle
+
+
+class EquivalenceReport(NamedTuple):
+    """Formula-vs-oracle comparison for one network, decided axis by axis.
+
+    A 2-D row pairs its axis entries and a 2-D PF set is the product of two
+    non-empty axis sets, so the rows, built when read, agree when the columns do."""
+
+    network_name: str
+    height: AxisCheck
+    width: AxisCheck
+
+    @property
+    def passed(self) -> bool:
+        return self.height.passed and self.width.passed
+
+    @property
+    def erf_rows(self) -> tuple[ErfAgreementRow, ...]:  # entry k is layer k, input first
+        h, w = self.height, self.width
+        columns = zip(h.bottom_up, w.bottom_up, h.top_down, w.top_down, h.swept, w.swept)
+        return tuple(
+            ErfAgreementRow((uh, uw), (dh, dw), (sh, sw), (ch, cw))
+            for uh, uw, dh, dw, (sh, ch), (sw, cw) in columns
         )
+
+    @property
+    def pf_rows(self) -> tuple[PfAgreementRow, ...]:  # entry k is boundary k
+        h, w = self.height, self.width
+        closed = map(_product, h.pf_closed, w.pf_closed)
+        return tuple(map(PfAgreementRow, closed, map(_product, h.pf_oracle, w.pf_oracle)))
+
+
+def _product(heights, widths) -> frozenset[Pair]:
+    return frozenset((h, w) for h in heights for w in widths)
+
+
+def _check_axis(filters: list[int], strides: list[int], bottom_up: list[int]) -> AxisCheck:
+    return AxisCheck(
+        bottom_up,
+        fields._erf_top_down_1d(filters, strides),
+        _influence_1d(filters, strides),
+        [fields._pf_1d(f, s) for f, s in zip(filters, strides)],
+        [set(_coverage_1d(f, s)) for f, s in zip(filters, strides)],
+    )
 
 
 def check_equivalence(network: NetworkSpec) -> EquivalenceReport:
     """Compare bottom-up, top-down, and oracle answers for every layer, and
-    closed-form against counted PF sizes for every boundary.
+    closed-form against counted PF sizes for every boundary, axis by axis.
 
     Validates once (InvalidNetworkError) and splits the axes once: the
     closed forms come from fields.py's private 1-D cores, not from the
@@ -185,31 +231,11 @@ def check_equivalence(network: NetworkSpec) -> EquivalenceReport:
             f"influence span {up_h[-1]}x{up_w[-1]} exceeds the "
             f"{SPAN_BUDGET}-bit oracle budget: too large to enumerate"
         )
-    down_h, down_w = fields._erf_top_down_1d(*height), fields._erf_top_down_1d(*width)
-    # The sweep is the one step whose cost follows span bits; when both axes
-    # are the same chain, as in every square-kernel network, they are wired
-    # alike, so the height measures serve the width axis too.
-    swept_h = _influence_1d(*height)
-    swept_w = swept_h if width == height else _influence_1d(*width)
-    erf_rows = tuple(
-        ErfAgreementRow(
-            bottom_up=(uh, uw),
-            top_down=(dh, dw),
-            oracle_span=(sh, sw),
-            oracle_cardinality=(ch, cw),
-        )
-        for uh, uw, dh, dw, (sh, ch), (sw, cw) in zip(
-            up_h, up_w, down_h, down_w, swept_h, swept_w
-        )
-    )
-    pf_rows = tuple(
-        PfAgreementRow(
-            closed_form=fields._pf_2d(nxt.filter, nxt.stride),
-            oracle=pf_counts_oracle(nxt.filter, nxt.stride).size_pairs,
-        )
-        for nxt in network.layers
-    )
-    return EquivalenceReport(network_name=network.name, erf_rows=erf_rows, pf_rows=pf_rows)
+    # The sweep's cost follows span bits; in a square-kernel network both axes
+    # are one chain, wired alike, so the height record serves the width too.
+    checked_h = _check_axis(*height, up_h)
+    checked_w = checked_h if width == height else _check_axis(*width, up_w)
+    return EquivalenceReport(network.name, checked_h, checked_w)
 
 
 def random_network(rng: random.Random, *, name: str = "") -> NetworkSpec:

@@ -133,6 +133,7 @@ def render_topdown_json(network: NetworkSpec, projection: tuple[Pair, ...]) -> s
 
 
 def render_equivalence(report: oracle.EquivalenceReport) -> str:
+    erf_rows, pf_rows = report.erf_rows, report.pf_rows  # each is built anew when read
     lines = [f"equivalence check: {report.network_name or '(unnamed)'}"]
     rows = [
         [
@@ -143,7 +144,7 @@ def render_equivalence(report: oracle.EquivalenceReport) -> str:
             _cell(row.oracle_cardinality),
             "ok" if row.matches else "MISMATCH",
         ]
-        for layer, row in enumerate(report.erf_rows)
+        for layer, row in enumerate(erf_rows)
     ]
     lines += _table(
         ["layer", "bottom-up", "top-down", "oracle-span", "oracle-card", "match"], rows
@@ -151,21 +152,21 @@ def render_equivalence(report: oracle.EquivalenceReport) -> str:
     lines += [
         f"note: layer {layer} influence has coverage gaps "
         f"(cardinality {_cell(row.oracle_cardinality)} < span {_cell(row.oracle_span)})"
-        for layer, row in enumerate(report.erf_rows)
+        for layer, row in enumerate(erf_rows)
         if row.has_coverage_gaps
     ]
-    if report.pf_rows:
+    if pf_rows:
         lines.append("")
-        pf_rows = [
+        rows = [
             [
                 str(boundary),
                 ", ".join(_cell(s) for s in sorted(row.closed_form)),
                 ", ".join(_cell(s) for s in sorted(row.oracle)),
                 "ok" if row.matches else "MISMATCH",
             ]
-            for boundary, row in enumerate(report.pf_rows)
+            for boundary, row in enumerate(pf_rows)
         ]
-        lines += _table(["pf-boundary", "closed-form", "oracle", "match"], pf_rows)
+        lines += _table(["pf-boundary", "closed-form", "oracle", "match"], rows)
     lines.append("")
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
     return "\n".join(lines) + "\n"

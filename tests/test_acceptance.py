@@ -13,7 +13,14 @@ import json
 import random
 import time
 
-from conftest import CHAIN11_ERF, CHAIN11_TOPDOWN, DATA, insert_layer, make_network
+from conftest import (
+    CHAIN11_ERF,
+    CHAIN11_TOPDOWN,
+    DATA,
+    insert_layer,
+    make_network,
+    off_by_one_oracle,
+)
 from reference import span_and_cardinality
 from strategies import covered_network
 
@@ -30,7 +37,6 @@ from fieldscope import (
     serialize_dsl,
 )
 from fieldscope.cli import main
-from fieldscope.oracle import EquivalenceReport, ErfAgreementRow
 
 CHAIN11 = str(DATA / "chain11.net")
 
@@ -117,7 +123,7 @@ def test_criterion_4_oracle_agrees_on_1000_seeded_chains():
             assert counted.size_pairs == pf_size_set(network, k)
 
     elapsed = time.perf_counter() - started
-    assert elapsed < 10.0, f"oracle agreement took {elapsed:.2f} s"
+    assert elapsed < 5.0, f"oracle agreement took {elapsed:.2f} s"
     print(f"criterion 4: PASS - both streams in {elapsed:.2f} s")
 
 
@@ -190,18 +196,12 @@ def test_criterion_8_exit_codes_and_golden_bytes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
     # exit 1: verification mismatch (forced; the real checks never disagree)
-    broken = ErfAgreementRow(
-        bottom_up=(3, 3),
-        top_down=(3, 3),
-        oracle_span=(4, 4),
-        oracle_cardinality=(4, 4),
-    )
-    fake = EquivalenceReport(network_name="forced", erf_rows=(broken,), pf_rows=())
-    monkeypatch.setattr(cli, "check_equivalence", lambda network: fake)
+    monkeypatch.setattr(cli, "check_equivalence", off_by_one_oracle)
     assert main(["verify", CHAIN11]) == 1
+    assert capsys.readouterr().out.endswith("overall: FAIL\n")
     monkeypatch.undo()
     assert main(["verify", CHAIN11]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out == (DATA / "chain11_verify.txt").read_text()
     print("criterion 8: PASS - exit codes 0/1/2/3 and golden bytes hold")
 
 
@@ -227,7 +227,7 @@ def test_verify_on_a_30000_layer_chain_stays_within_budget(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.endswith("overall: PASS\n")
-    assert elapsed < 5.0, f"verify took {elapsed:.2f} s"
+    assert elapsed < 3.0, f"verify took {elapsed:.2f} s"
 
 
 def test_full_equivalence_sweep_stays_green():

@@ -11,14 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA, make_network
+from conftest import DATA, make_network, off_by_one_oracle
 from reference import topdown_table_reference
 
 import fieldscope.cli as cli
 import fieldscope.oracle as oracle
 from fieldscope import render_topdown_table, rf_top_down
 from fieldscope.cli import main
-from fieldscope.oracle import EquivalenceReport, ErfAgreementRow
 
 CHAIN11 = str(DATA / "chain11.net")
 CHAIN11_TOML = str(DATA / "chain11.toml")
@@ -206,41 +205,38 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "50 random networks verified (seed 42): PASS" in out
 
+    @pytest.mark.parametrize("name", ["chain11", "gapped"])
+    def test_prints_the_golden_bytes(self, name, capsys):
+        assert main(["verify", str(DATA / f"{name}.net")]) == 0
+        assert capsys.readouterr().out.encode() == (DATA / f"{name}_verify.txt").read_bytes()
+
     def test_mismatch_exits_1(self, capsys, monkeypatch):
-        broken = ErfAgreementRow(
-            bottom_up=(3, 3),
-            top_down=(3, 3),
-            oracle_span=(4, 4),
-            oracle_cardinality=(4, 4),
-        )
-        fake = EquivalenceReport(network_name="chain11", erf_rows=(broken,), pf_rows=())
-        monkeypatch.setattr(cli, "check_equivalence", lambda network: fake)
+        monkeypatch.setattr(cli, "check_equivalence", off_by_one_oracle)
         assert main(["verify", CHAIN11]) == 1
         out = capsys.readouterr().out
-        assert "MISMATCH" in out
+        assert "1      9x9        9x9       10x9         9x9          MISMATCH" in out
+        assert out.count("MISMATCH") == 1
         assert "overall: FAIL" in out
 
     def test_random_mismatch_exits_1_and_names_the_trial(self, capsys, monkeypatch):
-        broken = ErfAgreementRow(
-            bottom_up=(1, 1),
-            top_down=(1, 1),
-            oracle_span=(2, 2),
-            oracle_cardinality=(2, 2),
-        )
-        fake = EquivalenceReport(network_name="trial-0", erf_rows=(broken,), pf_rows=())
-        monkeypatch.setattr(cli, "check_equivalence", lambda network: fake)
+        monkeypatch.setattr(cli, "check_equivalence", off_by_one_oracle)
         assert main(["verify", "--random", "--trials", "3", "--seed", "7"]) == 1
-        assert "mismatch at trial 0 (seed 7):" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("mismatch at trial 0 (seed 7):\nequivalence check: trial-0\n")
+        assert out.count("MISMATCH") == 1
+        assert out.endswith("overall: FAIL\n")
 
     def test_file_and_random_together_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", CHAIN11, "--random"])
         assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: fieldscope verify ")
 
     def test_neither_file_nor_random_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify"])
         assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: fieldscope verify ")
 
     def test_gapped_network_still_passes_with_notes(self, tmp_path, capsys):
         path = write_net(tmp_path, "conv 2 s3\nconv 2 s1\n")
@@ -369,7 +365,11 @@ BROKEN_PIPE = rb"fieldscope: error: \[Errno 32\] Broken pipe\n"
         (["verify", "--random", "--trials", "50"], 2, BROKEN_PIPE),
         (["analyze", CHAIN11], 2, BROKEN_PIPE),
         (["--help"], 0, rb""),
-        (["verify"], 2, rb"usage: fieldscope .*\nfieldscope: error: a file is required .*\n"),
+        (
+            ["verify"],
+            2,
+            rb"usage: fieldscope verify .*\nfieldscope verify: error: a file is required .*\n",
+        ),
     ],
     ids=["verify", "analyze", "help", "usage"],
 )

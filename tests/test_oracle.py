@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import CHAIN11_ERF, DATA, make_network
+from conftest import CHAIN11_ERF, DATA, make_network, with_column_entry
 from reference import backward_influence, span_and_cardinality
 from strategies import covered_network, networks
 
@@ -215,6 +215,37 @@ def test_verify_compares_what_the_public_calculators_print(network):
         assert row.closed_form == pf_size_set(network, k)
 
 
+def _verdict_of_the_rows(report):
+    return all(r.matches for r in report.erf_rows) and all(r.matches for r in report.pf_rows)
+
+
+def _changed(entry):
+    """A different value of the same shape: a span, a (span, cardinality), a size set."""
+    if isinstance(entry, int):
+        return entry + 1
+    if isinstance(entry, tuple):
+        return (entry[0] + 1, entry[1])
+    return entry | {max(entry) + 1}
+
+
+@given(networks(), st.data())
+def test_the_verdict_is_the_rows_and_one_changed_entry_fails_its_row_only(network, data):
+    report = check_equivalence(network)
+    assert report.passed == _verdict_of_the_rows(report)
+    axis = data.draw(st.sampled_from(("height", "width")))
+    column = data.draw(st.sampled_from(oracle.AxisCheck._fields))
+    entries = getattr(getattr(report, axis), column)
+    index = data.draw(st.integers(0, len(entries) - 1))
+    changed = with_column_entry(report, axis, column, index, _changed(entries[index]))
+    assert not changed.passed
+    assert changed.passed == _verdict_of_the_rows(changed)
+    rows, others = changed.erf_rows, changed.pf_rows
+    if column.startswith("pf_"):
+        rows, others = others, rows
+    assert [row.matches for row in rows] == [k != index for k in range(len(rows))]
+    assert all(row.matches for row in others)
+
+
 def _transposed(network):
     layers = tuple(
         LayerSpec(layer.kind, layer.filter[::-1], layer.stride[::-1], layer.channels_out)
@@ -240,7 +271,7 @@ def test_transposing_every_layer_transposes_every_row(network):
 class TestSpanBudget:
     def test_a_span_past_the_budget_is_refused_before_the_sweep(self, monkeypatch):
         monkeypatch.setattr(oracle, "_influence_1d", lambda *chain: pytest.fail("swept"))
-        monkeypatch.setattr(oracle, "pf_counts_oracle", lambda *layer: pytest.fail("counted"))
+        monkeypatch.setattr(oracle, "_coverage_1d", lambda *layer: pytest.fail("counted"))
         network = make_network(*[("conv", 2, 2)] * 40)
         with pytest.raises(SpanBudgetError, match="too large to enumerate"):
             check_equivalence(network)
