@@ -100,22 +100,31 @@ def _coverage_1d(f: int, s: int) -> dict[int, int]:
     Window p reads positions p*s .. p*s + f - 1, so an interior position x
     (one far enough from the origin that every window which could cover it
     exists) is read by tap t of exactly one window for each tap t < f with
-    t = x (mod s). One pass over the taps therefore tallies the coverage of
-    every offset of the period by residue. Counts repeat with period s, so
-    one period tells all. At most f offsets are covered, so the cost grows
-    with the filter and not with the stride; the rest of the period has 0.
+    t = x (mod s): the taps range(x, f, s) for offset x of the period. Counts
+    repeat with period s, so one period tells all. Offset x + 1 is read by
+    the same taps moved up by one, less any that pass f, so the count never
+    rises as x grows: offsets below min(f, s) fall into runs of equal count,
+    and bisection finds where each run ends. The s - f offsets past the last
+    tap, when f < s, have 0. The cost follows the number of runs and log s,
+    not the filter or the stride.
     """
     if f < 1 or s < 1:
         raise ValueError(f"filter and stride must be >= 1, got f={f} s={s}")
-    covered: dict[int, int] = {}
-    for t in range(f):
-        residue = t % s
-        covered[residue] = covered.get(residue, 0) + 1
     counts: dict[int, int] = {}
-    for c in covered.values():
-        counts[c] = counts.get(c, 0) + 1
-    if len(covered) < s:
-        counts[0] = s - len(covered)
+    x, end = 0, min(f, s)
+    while x < end:
+        covering = len(range(x, f, s))
+        lo, hi = x + 1, end  # the run ends at the first offset in lo..hi read by fewer taps
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if len(range(mid, f, s)) < covering:
+                hi = mid
+            else:
+                lo = mid + 1
+        counts[covering] = lo - x
+        x = lo
+    if f < s:
+        counts[0] = s - f
     return counts
 
 
@@ -208,8 +217,8 @@ def _check_axis(filters: list[int], strides: list[int], bottom_up: list[int]) ->
         bottom_up,
         fields._erf_top_down_1d(filters, strides),
         _influence_1d(filters, strides),
-        [fields._pf_1d(f, s) for f, s in zip(filters, strides)],
-        [set(_coverage_1d(f, s)) for f, s in zip(filters, strides)],
+        list(map(fields._pf_1d, filters, strides)),
+        list(map(set, map(_coverage_1d, filters, strides))),
     )
 
 
@@ -239,12 +248,29 @@ def check_equivalence(network: NetworkSpec) -> EquivalenceReport:
 
 
 def random_network(rng: random.Random, *, name: str = "") -> NetworkSpec:
-    """Sample a chain of 1..8 layers, filters 1..11 and strides 1..4 per axis."""
+    """Sample a chain of 1..8 layers, filters 1..11 and strides 1..4 per axis.
+
+    Draws the numbers rng.randint and rng.choice would, in the same order,
+    through one bound getrandbits, so a seed gives the same chains either way.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        # CPython's rule for randint and choice: n.bit_length() random bits,
+        # drawn again while they reach n
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    kinds = (LayerKind.CONV, LayerKind.POOL)
     layers = []
-    for _ in range(rng.randint(1, 8)):
-        kind = rng.choice((LayerKind.CONV, LayerKind.POOL))
-        f = (rng.randint(1, 11), rng.randint(1, 11))
-        s = (rng.randint(1, 4), rng.randint(1, 4))
-        channels = rng.randint(1, 128) if rng.random() < 0.2 else None
-        layers.append(LayerSpec(kind=kind, filter=f, stride=s, channels_out=channels))
-    return NetworkSpec(name=name, direction=Direction.CONV, layers=tuple(layers))
+    for _ in range(1 + below(8)):
+        kind = kinds[below(2)]
+        f = (1 + below(11), 1 + below(11))
+        s = (1 + below(4), 1 + below(4))
+        channels = 1 + below(128) if rng.random() < 0.2 else None
+        # positional, since keyword arguments took a sixth of this loop's time
+        layers.append(LayerSpec(kind, f, s, channels))
+    return NetworkSpec(name, Direction.CONV, tuple(layers))

@@ -9,8 +9,9 @@ DSL (.net files, UTF-8, LF or CRLF), one layer per line:
     conv 9 s1 c64           optional trailing channel count
     # comment to end of line; blank lines are fine
 
-Manifest (.toml files), TOML read by the standard library's tomllib, one
-[[layer]] section per layer; scalar filter/stride fill both axes:
+Manifest (.toml files), TOML read by the standard library's tomllib, an
+array of layer tables, as [[layer]] sections or inline; scalar filter/stride
+fill both axes:
 
     name = "chain11"
     direction = "conv"      # or "deconv"
@@ -22,9 +23,10 @@ Manifest (.toml files), TOML read by the standard library's tomllib, one
     channels_out = 64       # optional
 
 Unknown manifest keys and tables warn (ManifestWarning) but do not fail. A
-TOML syntax error is placed at tomllib's line and column, a finding about a
-layer at its [[layer]] header line. Every hard failure raises ParseError
-carrying positioned diagnostics; no input text crashes the parsers.
+TOML syntax error is placed at tomllib's line and column; any other manifest
+finding points at line 1, and one about a layer names it ("layer 2: ...").
+Every hard failure raises ParseError carrying positioned diagnostics; no
+input text crashes the parsers.
 """
 
 from __future__ import annotations
@@ -245,7 +247,6 @@ def _parse_dsl_layer(
 
 
 _LAYER_KEYS = ("kind", "filter", "stride", "channels_out")  # all but the last required
-_LAYER_HEADER = re.compile(r"""[ \t]*\[\[[ \t]*(?:layer|"layer"|'layer')[ \t]*\]\]""")
 
 
 def parse_manifest(text: str) -> NetworkSpec:
@@ -267,8 +268,8 @@ def parse_manifest(text: str) -> NetworkSpec:
     except RecursionError:  # tomllib recurses once per nested array or inline table
         raise ParseError([ParseDiagnostic(1, 1, "nesting too deep")]) from None
 
-    # Top-level findings point at line 1, one about layer k at the k-th
-    # [[layer]] header line, so those headers must be what made the tables.
+    # The parsed document keeps no positions, so every finding below points
+    # at line 1; one about a layer names it by its number.
     unknown = [key for key in document if key not in ("name", "direction", "layer")]
     found = [ParseDiagnostic(1, 1, f"unknown key {key!r}", "warning") for key in unknown]
     name = document.get("name", "")
@@ -278,14 +279,12 @@ def parse_manifest(text: str) -> NetworkSpec:
     if label not in ("conv", "deconv"):
         found.append(ParseDiagnostic(1, 1, f"direction must be 'conv' or 'deconv', got {label!r}"))
     tables = document.get("layer", [])
-    lines = enumerate(text.split("\n"), start=1)
-    headers = [n for n, line in lines if "[[" in line and _LAYER_HEADER.match(line)]
-    if type(tables) is not list or [type(table) for table in tables] != [dict] * len(headers):
-        found.append(ParseDiagnostic(1, 1, "layers must be written as [[layer]] sections"))
+    if type(tables) is not list or any(type(table) is not dict for table in tables):
+        found.append(ParseDiagnostic(1, 1, "'layer' must be an array of tables"))
         tables = []
 
     layers = []
-    for position, (line, table) in enumerate(zip(headers, tables), start=1):
+    for position, table in enumerate(tables, start=1):
         unknown = [f"unknown key {key!r}" for key in table if key not in _LAYER_KEYS]
         problems = [f"missing key {key!r}" for key in _LAYER_KEYS[:3] if key not in table]
         kind = table.get("kind", "conv")
@@ -301,7 +300,7 @@ def parse_manifest(text: str) -> NetworkSpec:
         if channels is not None and type(channels) is not int:
             problems.append(f"'channels_out' must be an integer, got {channels!r}")
         for level, messages in (("warning", unknown), ("error", problems)):
-            found += [ParseDiagnostic(line, 1, f"layer {position}: {m}", level) for m in messages]
+            found += [ParseDiagnostic(1, 1, f"layer {position}: {m}", level) for m in messages]
         if not problems:
             layers.append(LayerSpec(_KINDS[kind], size, stride, channels))
 

@@ -12,11 +12,16 @@ clean layer.
 
 topdown_table_reference lays the top-down table out in two passes: every
 column padded to its widest cell, each line right-stripped.
+
+random_network_reference draws random_network's chain through the public
+randint, choice and random, in the order random_network documents.
 """
 
 from __future__ import annotations
 
-from fieldscope import NetworkSpec, ValidationReport
+import random
+
+from fieldscope import Direction, LayerKind, LayerSpec, NetworkSpec, ValidationReport
 
 
 def backward_influence(network: NetworkSpec, k: int, axis: int) -> tuple[int, ...]:
@@ -66,3 +71,16 @@ def topdown_table_reference(
     lines = [f"top-down projection of layer {k} (network {network.name or '(unnamed)'})"]
     lines += ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def random_network_reference(rng: random.Random) -> NetworkSpec:
+    """Per layer: kind, height and width filter, height and width stride, the
+    channels coin, and a channel count when the coin lands under 0.2."""
+    layers = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.choice((LayerKind.CONV, LayerKind.POOL))
+        f = (rng.randint(1, 11), rng.randint(1, 11))
+        s = (rng.randint(1, 4), rng.randint(1, 4))
+        channels = rng.randint(1, 128) if rng.random() < 0.2 else None
+        layers.append(LayerSpec(kind=kind, filter=f, stride=s, channels_out=channels))
+    return NetworkSpec(name="", direction=Direction.CONV, layers=tuple(layers))

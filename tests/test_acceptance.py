@@ -13,6 +13,8 @@ import json
 import random
 import time
 
+import pytest
+
 from conftest import (
     CHAIN11_ERF,
     CHAIN11_TOPDOWN,
@@ -228,6 +230,42 @@ def test_verify_on_a_30000_layer_chain_stays_within_budget(tmp_path, capsys):
     assert code == 0
     assert out.endswith("overall: PASS\n")
     assert elapsed < 3.0, f"verify took {elapsed:.2f} s"
+
+
+HUGE_FILTER_ERF = (
+    "equivalence check: (unnamed)\n"
+    "layer  bottom-up          top-down           oracle-span        oracle-card        match\n"
+    "0      1x1                1x1                1x1                1x1                ok\n"
+    "1      16777216x16777216  16777216x16777216  16777216x16777216  16777216x16777216  ok\n"
+    "\n"
+)
+
+
+@pytest.mark.parametrize(
+    "stride, pf_table",
+    [
+        (
+            "1",
+            "pf-boundary  closed-form        oracle             match\n"
+            "0            16777216x16777216  16777216x16777216  ok\n",
+        ),
+        (
+            "16777216",
+            "pf-boundary  closed-form  oracle  match\n"
+            "0            1x1          1x1     ok\n",
+        ),
+    ],
+    ids=["s1", "s16777216"],
+)
+def test_verify_on_a_huge_filter_stays_within_budget(stride, pf_table, tmp_path, capsys):
+    # the PF oracle counts runs of offsets, not taps: one tap at a time took
+    # seconds on a filter of 2**24
+    path = tmp_path / "huge.net"
+    path.write_text(f"conv 16777216 s{stride}\n")
+    elapsed, code = _timed(lambda: main(["verify", str(path)]))
+    assert code == 0
+    assert capsys.readouterr().out == HUGE_FILTER_ERF + pf_table + "\noverall: PASS\n"
+    assert elapsed < 1.0, f"verify took {elapsed:.2f} s"
 
 
 def test_full_equivalence_sweep_stays_green():

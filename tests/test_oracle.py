@@ -4,11 +4,11 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import CHAIN11_ERF, DATA, make_network, with_column_entry
-from reference import backward_influence, span_and_cardinality
+from reference import backward_influence, random_network_reference, span_and_cardinality
 from strategies import covered_network, networks
 
 import fieldscope.arch as arch
@@ -92,7 +92,31 @@ class TestPfCountsOracle:
         assert field.counts_w == {3: 1}
         assert field.size_pairs == frozenset({(0, 3), (1, 3)})
 
+    @pytest.mark.parametrize(
+        "f, s, counts",
+        [
+            (2**62, 2**61 + 1, {2: 2**61 - 1, 1: 2}),
+            (2**63 - 1, 1, {2**63 - 1: 1}),
+            (2**24, 1, {2**24: 1}),
+            (2**24, 2**24, {1: 2**24}),
+            (2**24 - 1, 2**24, {1: 2**24 - 1, 0: 1}),
+        ],
+    )
+    def test_huge_filters_are_counted_exactly(self, f, s, counts):
+        # f = q*s + r: r offsets of the period are read by q + 1 taps, the
+        # other s - r by q
+        q, r = divmod(f, s)
+        assert {c: n for c, n in ((q + 1, r), (q, s - r)) if n} == counts
+        assert pf_counts_oracle((f, 3), (s, 1)) == (counts, {3: 1})
+
     @given(st.integers(1, 40), st.integers(1, 12))
+    @example(3, 7)  # f < s: offsets past the last tap have no window
+    @example(1, 12)
+    @example(5, 5)  # f = s: every offset read once
+    @example(36, 12)  # f = k*s
+    @example(12, 4)
+    @example(37, 12)  # f = k*s + 1
+    @example(13, 4)
     def test_counts_agree_with_a_wide_sliding_simulation(self, f, s):
         field = pf_counts_oracle((f, f), (s, s))
         # lay enough windows over a long row that the middle is saturated,
@@ -110,6 +134,8 @@ class TestPfCountsOracle:
         assert Counter(period) == field.counts_h
         for x in range(start, start + 4 * s):
             assert hits[x] == hits[x + s]
+        # the offsets of the period, in order, list each count's run once
+        assert list(field.counts_h) == list(dict.fromkeys(hits[start - start % s :][:s]))
 
     @given(st.integers(1, 12), st.data())
     def test_covered_layers_hit_floor_and_ceil(self, s, data):
@@ -317,6 +343,13 @@ class TestRandomNetwork:
     def test_the_seeded_stream_is_pinned(self):
         rng = random.Random(5)
         assert tuple(serialize_dsl(random_network(rng)) for _ in range(20)) == SEED_5_STREAM
+
+    @given(st.integers(0, 2**64))
+    def test_draws_what_randint_choice_and_random_draw(self, seed):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert random_network(rng) == random_network_reference(reference)
+        assert rng.getstate() == reference.getstate()
 
     def test_respects_bounds(self):
         rng = random.Random(11)

@@ -121,27 +121,47 @@ class TestParseManifest:
             assert any(f"unknown key '{key}'" in m for m in messages)
 
     def test_missing_key_points_at_section(self):
+        # tomllib keeps no positions: the finding names its section by number
         manifest = "# leading comment\n[[layer]]\nkind = \"conv\"\nstride = 1\n"
         with pytest.raises(ParseError) as excinfo:
             parse_manifest(manifest)
-        (diagnostic,) = excinfo.value.diagnostics
-        assert diagnostic.line == 2
-        assert "missing key 'filter'" in diagnostic.message
+        assert excinfo.value.diagnostics == ((1, 1, "layer 1: missing key 'filter'", "error"),)
 
-    def test_a_layer_finding_points_at_its_header_however_it_is_spelled(self):
+    def test_a_layer_finding_names_its_layer_however_it_is_spelled(self):
         manifest = (
             '[[layer]]\r\nkind = "conv"\r\nfilter = 3\r\nstride = 1\r\n\r\n'
             '  [[ "layer" ]]  # second\r\nkind = "pool"\r\nstride = 1\r\n'
         )
         with pytest.raises(ParseError) as excinfo:
             parse_manifest(manifest)
-        assert excinfo.value.diagnostics == ((6, 1, "layer 2: missing key 'filter'", "error"),)
+        assert excinfo.value.diagnostics == ((1, 1, "layer 2: missing key 'filter'", "error"),)
 
-    @pytest.mark.parametrize("case", ["single-table", "inline-table"])
-    def test_layers_must_be_written_as_sections(self, case):
+    def test_an_inline_array_of_layer_tables_is_the_same_network(self):
+        sections = _layer() + _layer(kind='"pool"', filter="[2, 3]", stride="2", channels_out="8")
+        inline = (
+            'layer = [\n  {kind = "conv", filter = 3, stride = 1},\n'
+            '  {kind = "pool", filter = [2, 3], stride = 2, channels_out = 8},\n]\n'
+        )
+        network = parse_dsl("conv 3 s1\npool 2x3 s2 c8")
+        assert parse_manifest(inline) == parse_manifest(sections) == network
+        with pytest.raises(ParseError) as excinfo:
+            parse_manifest('layer = [{kind = "conv", filter = 3, stride = 1}, {kind = "conv"}]\n')
+        assert excinfo.value.diagnostics == (
+            (1, 1, "layer 2: missing key 'filter'", "error"),
+            (1, 1, "layer 2: missing key 'stride'", "error"),
+        )
+
+    def test_a_header_line_inside_a_string_is_no_layer(self):
+        manifest = 'name = """\n[[layer]]\n"""\n\n[[layer]]\nkind = "conv"\nfilter = 3\nstride = 1\n'
+        network = parse_manifest(manifest)
+        assert network.name == "[[layer]]\n"
+        assert network.layers == parse_dsl("conv 3 s1").layers
+
+    @pytest.mark.parametrize("case", ["single-table", "inline-table", "mixed-array"])
+    def test_layer_must_be_an_array_of_tables(self, case):
         with pytest.raises(ParseError) as excinfo:
             parse_manifest(BAD_MANIFESTS[case])
-        message = "layers must be written as [[layer]] sections"
+        message = "'layer' must be an array of tables"
         assert excinfo.value.diagnostics == ((1, 1, message, "error"),)
 
     def test_ill_typed_value(self):
@@ -338,7 +358,8 @@ BAD_MANIFESTS = {
     "int-kind": _layer(kind="1"),
     "int-name": "name = 5\n" + _layer(),
     "single-table": _layer().replace("[[layer]]", "[layer]"),
-    "inline-table": 'layer = [{kind = "conv", filter = 3, stride = 1}]\n',
+    "inline-table": 'layer = {kind = "conv", filter = 3, stride = 1}\n',
+    "mixed-array": 'layer = [{kind = "conv", filter = 3, stride = 1}, 3]\n',
     "long-filter": _layer(filter="_".join(LONG_LITERAL)),
     "deep-array": "x = " + "[" * 2000,
     "deep-inline-table": "x = " + "{a = " * 2000,
