@@ -31,10 +31,10 @@ input text crashes the parsers.
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 import warnings
-from pathlib import Path
 from typing import NamedTuple
 
 from .arch import Direction, LayerKind, LayerSpec, NetworkSpec, require_valid
@@ -63,10 +63,7 @@ class ManifestWarning(UserWarning):
     """Non-fatal manifest finding, e.g. an unknown key."""
 
 
-# A whole canonical layer line, tried before tokenizing. Any other line takes
-# the tokenizer, which owns every diagnostic and would build the same layer.
-_LAYER_LINE = re.compile(r"\s*(conv|pool)\s+(\d+)(?:x(\d+))?\s+s(\d+)(?:x(\d+))?(?:\s+c(\d+))?\s*")
-_KINDS = {kind.value: kind for kind in LayerKind}  # a dict hit costs far less than LayerKind()
+_KINDS = {kind.value: kind for kind in LayerKind}  # the one kind lookup of both parsers
 _TOKEN = re.compile(r"\S+")
 _SIZE = re.compile(r"(\d+)(?:x(\d+))?")
 _STRIDE = re.compile(r"s(\d+)(?:x(\d+))?")
@@ -109,25 +106,14 @@ def parse_dsl(text: str) -> NetworkSpec:
     name = ""
     direction = Direction.CONV
     first_significant = True
-    # Layer lines the regex accepted, mapped to the record built for each:
-    # a repeated line reuses its immutable LayerSpec.
+    # Layer lines (comment stripped) mapped to the record built for each: a
+    # repeated line reuses its immutable LayerSpec. A line that yields a layer
+    # yields no diagnostic, so a repeat skipped here hides none.
     seen: dict[str, LayerSpec] = {}
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].rstrip("\r")
         layer = seen.get(line)
-        if layer is None and (match := _LAYER_LINE.fullmatch(line)) is not None:
-            kind, fh, fw, sh, sw, channels = match.groups()
-            try:
-                h, s = int(fh), int(sh)
-                layer = seen[line] = LayerSpec(
-                    kind=_KINDS[kind],
-                    filter=(h, h if fw is None else int(fw)),
-                    stride=(s, s if sw is None else int(sw)),
-                    channels_out=None if channels is None else int(channels),
-                )
-            except ValueError:
-                pass  # a literal past int()'s digit limit; the tokenizer reports it
         if layer is not None:
             layers.append(layer)
             first_significant = False
@@ -165,7 +151,7 @@ def parse_dsl(text: str) -> NetworkSpec:
                 direction = Direction.DECONV
             continue
 
-        if word not in ("conv", "pool"):
+        if word not in _KINDS:
             diagnostics.append(
                 ParseDiagnostic(lineno, column, f"unknown layer kind {word!r}")
             )
@@ -174,6 +160,7 @@ def parse_dsl(text: str) -> NetworkSpec:
         layer = _parse_dsl_layer(tokens, lineno, diagnostics)
         if layer is not None:
             layers.append(layer)
+            seen[line] = layer
 
     if not layers and not any(d.severity == "error" for d in diagnostics):
         diagnostics.append(ParseDiagnostic(1, 1, "no layers defined"))
@@ -187,7 +174,7 @@ def _parse_dsl_layer(
     lineno: int,
     diagnostics: list[ParseDiagnostic],
 ) -> LayerSpec | None:
-    kind = LayerKind(tokens[0][0])
+    kind = _KINDS[tokens[0][0]]
     if len(tokens) < 2:
         diagnostics.append(
             ParseDiagnostic(lineno, tokens[0][1] + len(tokens[0][0]), "missing filter size")
@@ -361,14 +348,14 @@ def _scalar_or_pair(value: tuple[int, int]) -> str:
     return str(value[0]) if value[0] == value[1] else f"{value[0]}x{value[1]}"
 
 
-def load_network(path: str | Path) -> NetworkSpec:
+def load_network(path: str | os.PathLike[str]) -> NetworkSpec:
     """Read an architecture file, dispatching on extension (.toml = manifest)."""
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except UnicodeDecodeError as exc:
         raise ParseError([_undecodable(exc.object, exc.start)]) from None
-    if path.suffix == ".toml":
+    if os.path.splitext(path)[1] == ".toml":
         return parse_manifest(text)
     return parse_dsl(text)
 

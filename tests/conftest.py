@@ -51,7 +51,7 @@ def off_by_one_oracle(network):
 def _layer(kind, size, stride):
     size = size if isinstance(size, tuple) else (size, size)
     stride = stride if isinstance(stride, tuple) else (stride, stride)
-    return LayerSpec(kind=LayerKind(kind), filter=size, stride=stride)
+    return LayerSpec(kind=LayerKind[kind.upper()], filter=size, stride=stride)
 
 
 @pytest.fixture(scope="session")

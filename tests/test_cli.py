@@ -397,9 +397,9 @@ def test_a_closed_pipe_exits_2_without_a_traceback(argv, code, err, unbuffered):
     assert re.fullmatch(err, runs[0].stderr, re.S)
 
 
-def test_importing_the_cli_loads_none_of_dataclasses_inspect_json_or_tomllib():
+def test_importing_the_cli_loads_none_of_dataclasses_inspect_json_tomllib_or_pathlib():
     # -S keeps site-packages' .pth files, which may import anything, out of the result.
-    modules = "{'dataclasses', 'inspect', 'json', 'tomllib'}"
+    modules = "{'dataclasses', 'inspect', 'json', 'tomllib', 'pathlib'}"
     code = f"import sys, fieldscope.cli; print(sorted({modules} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import re
 import warnings
 
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import DATA, make_network
 from strategies import networks
 
-import fieldscope.parsing as parsing
 from fieldscope import (
     Direction,
     LayerKind,
@@ -477,12 +475,16 @@ dsl_texts = st.tuples(
 @example("conv 3 s1\nconv 3 s1 # again\nconv 3 s1  \n  conv 3 s1\tc2\nconv 3 s1")
 @example("conv 3 s1\nnetwork late\nconv 3 s1\ndeconv\nconv 3 s1")
 @example(f"conv {LONG_LITERAL} s1\nconv 3 s1\nconv {LONG_LITERAL} s1")
-def test_layer_line_fast_path_matches_the_tokenizer(text):
-    fast = _parse_outcome(text)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(parsing, "_LAYER_LINE", re.compile(r"(?!)"))
-        slow = _parse_outcome(text)
-    assert fast == slow
+def test_the_line_cache_cannot_be_seen_in_the_output(text):
+    # A tab and then i + 1 blanks before line i's comment or line end give
+    # every line its own cache key, so the padded text is parsed line by line.
+    # Trailing blanks move no token or diagnostic column.
+    padded = []
+    for i, line in enumerate(text.split("\n")):
+        body, sep, comment = line.partition("#")
+        kept = body.rstrip("\r")
+        padded.append(kept + "\t" + " " * (i + 1) + body[len(kept) :] + sep + comment)
+    assert _parse_outcome(text) == _parse_outcome("\n".join(padded))
 
 
 def test_a_repeated_layer_line_is_one_shared_record():
